@@ -53,25 +53,33 @@ SYSTEMS = {
 }
 
 
+def _add_mode_flags(parser: argparse.ArgumentParser, mode_help: str,
+                    shards_help: Optional[str] = None) -> None:
+    """Declare ``--mode``, plus ``--shards`` when ``shards_help`` is given;
+    each subcommand words the help for what the mode applies to."""
+    parser.add_argument("--mode",
+                        choices=("centralized", "decentralized", "sharded"),
+                        default="centralized", help=mode_help)
+    if shards_help is not None:
+        parser.add_argument("--shards", type=int, default=None, metavar="N",
+                            help=shards_help)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=20,
                         help="number of worker nodes")
     parser.add_argument("--system", choices=sorted(SYSTEMS), default="nimbus",
                         help="control plane to run under")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mode",
-                        choices=("centralized", "decentralized", "sharded"),
-                        default="centralized",
-                        help="scheduling mode: 'centralized' is the "
-                             "paper's per-instance control plane; "
-                             "'decentralized' grants windows that workers "
-                             "self-schedule (DESIGN.md §14); 'sharded' "
-                             "relays those windows through controller "
-                             "shards so the coordinator leaves the "
-                             "steady-state path (§16); nimbus only")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="controller shard count for --mode sharded "
-                             "(default: min(16, max(2, sqrt(workers))))")
+    _add_mode_flags(parser,
+                    "scheduling mode: 'centralized' is the paper's "
+                    "per-instance control plane; 'decentralized' grants "
+                    "windows that workers self-schedule (DESIGN.md §14); "
+                    "'sharded' relays those windows through controller "
+                    "shards so the coordinator leaves the steady-state "
+                    "path (§16); nimbus only",
+                    "controller shard count for --mode sharded "
+                    "(default: min(16, max(2, sqrt(workers))))")
     parser.add_argument("--chaos-profile", choices=sorted(PROFILES),
                         default=None, metavar="PROFILE",
                         help="inject network faults from a stock plan "
@@ -700,12 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     autos.add_argument("--cold-start", type=float, default=None, metavar="S",
                        help="worker provisioning delay "
                             "(default: 4 intervals)")
-    autos.add_argument("--mode",
-                       choices=("centralized", "decentralized", "sharded"),
-                       default="centralized",
-                       help="scheduling mode the stepped run uses")
-    autos.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="controller shard count for --mode sharded")
+    _add_mode_flags(autos, "scheduling mode the stepped run uses",
+                    "controller shard count for --mode sharded")
     autos.set_defaults(fn=cmd_autoscale)
 
     serve = sub.add_parser(
@@ -715,12 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=int, default=6,
                        help="number of scheduled job arrivals")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--mode",
-                       choices=("centralized", "decentralized", "sharded"),
-                       default="centralized",
-                       help="scheduling mode every admitted job runs under")
-    serve.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="controller shard count for --mode sharded")
+    _add_mode_flags(serve, "scheduling mode every admitted job runs under",
+                    "controller shard count for --mode sharded")
     serve.add_argument("--mean-interarrival", type=float, default=0.05,
                        metavar="S",
                        help="mean Poisson interarrival gap in virtual "
@@ -755,10 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
                               f"({', '.join(sorted(WORKLOADS))})")
     profile.add_argument("--workers", type=int, default=100)
     profile.add_argument("--iterations", type=int, default=14)
-    profile.add_argument("--mode",
-                         choices=("centralized", "decentralized", "sharded"),
-                         default="centralized",
-                         help="scheduling mode to profile under")
+    _add_mode_flags(profile, "scheduling mode to profile under")
     profile.add_argument("--sort", choices=("cumulative", "tottime"),
                          default="cumulative",
                          help="pstats sort order: 'cumulative' finds the "

@@ -1,10 +1,11 @@
 """Compiled execution plans for worker-template halves.
 
 The paper's thesis is that repeated control-plane decisions should be made
-once and replayed cheaply. The interpreted replay path still pays full
-object churn per instantiation: one fresh :class:`Command` per entry, dict
-registration, and per-edge dependency resolution. This module extends the
-caching one level down, from *decisions* to the *dispatch data structures*:
+once and replayed cheaply. Rebuilding a template instance from its entry
+array would still pay full object churn per instantiation: one fresh
+:class:`Command` per entry, dict registration, and per-edge dependency
+resolution. This module extends the caching one level down, from
+*decisions* to the *dispatch data structures*:
 
 * :func:`compile_plan` turns a worker half's entry array into a
   struct-of-arrays :class:`CompiledPlan` — flat arrays of initial
@@ -19,15 +20,14 @@ caching one level down, from *decisions* to the *dispatch data structures*:
   driver pipelines instances, so several instances of the same block can
   be in flight on a worker at once.
 
-The compiled path is semantics-preserving by construction: the worker's
-resolution sweep over a plan visits entries in the same order, counts the
-same dependencies, and triggers the same synchronous completions as the
-interpreted two-pass ``_enqueue_batch``, so virtual results (iteration
-times, decision counters, chaos snapshots) are bit-identical either way.
-Escape hatches: ``REPRO_COMPILED_TEMPLATES=0`` disables the compiled path
-entirely; ``REPRO_COMPILED_CROSS_CHECK=1`` re-derives every instantiation
-through the interpreted ``instantiate_entries`` and compares field by
-field (and recompiles the plan to catch stale-plan-after-edit bugs).
+Plans are the worker's only way to run a template instance or a patch.
+Their semantics are pinned against a test-only oracle that rebuilds every
+instance through ``instantiate_entries`` and resolves it in two passes
+(``tests/oracle.py``): virtual results (iteration times, decision
+counters, chaos snapshots) must be bit-identical. At runtime,
+``REPRO_COMPILED_CROSS_CHECK=1`` re-derives every instantiation through
+``instantiate_entries`` and compares field by field (and recompiles the
+plan to catch stale-plan-after-edit bugs).
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..nimbus.commands import Command, CommandKind
-
-
-def enabled_default() -> bool:
-    """Compiled path on unless ``REPRO_COMPILED_TEMPLATES`` disables it."""
-    return os.environ.get("REPRO_COMPILED_TEMPLATES", "1") not in (
-        "", "0", "false", "no")
 
 
 def cross_check_enabled() -> bool:
@@ -165,8 +159,8 @@ class CompiledPlan:
 def compile_plan(entries: List[Optional[Any]], reports) -> CompiledPlan:
     """Compile a worker half's entry array into a :class:`CompiledPlan`.
 
-    The compilation simulates the interpreted resolution sweep
-    symbolically: which before-set edges survive tombstoning, which
+    The compilation simulates a per-command resolution sweep over the
+    batch symbolically: which before-set edges survive tombstoning, which
     read/write accesses face *pre-batch* state (and therefore need the
     runtime conflict tracker consulted), and what net update the batch
     applies to the tracker (intra-batch churn collapses to the final
@@ -208,7 +202,7 @@ def compile_plan(entries: List[Optional[Any]], reports) -> CompiledPlan:
     targets = [0] * offsets[m]
     fill = offsets[:m]
     # dependents are appended in resolution (position) order, matching the
-    # order the interpreted path builds its _dependents lists in
+    # order a per-command resolution builds its dependents lists in
     for pos, deps in enumerate(before_pos):
         for p in deps:
             targets[fill[p]] = pos

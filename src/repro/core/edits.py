@@ -244,7 +244,7 @@ def plan_migration(
     # entry that overwrites such an object — e.g. the postcondition-closure
     # RECV of the model coefficients — must now wait until the migrated
     # task has read the pre-block version. The reference points *forward*
-    # in the index array (two-pass batch resolution handles it).
+    # in the index array (compiled plans resolve the whole batch at once).
     for shared_oid in shared_reads:
         for k, entry in enumerate(dst_entries):
             if entry is not None and shared_oid in entry.write:

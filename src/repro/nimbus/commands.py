@@ -56,7 +56,7 @@ class Command:
         "src_worker",
         "tag",
         "size_bytes",
-        # worker-local scheduling state, stamped by Worker._register:
+        # worker-local scheduling state, stamped when a worker enqueues it:
         # outstanding-dependency count and (instance_key, report) metadata.
         # Kept on the command (not in side dicts) because the readiness
         # cascade is the hottest path in the whole simulation.
@@ -65,8 +65,8 @@ class Command:
         # compiled-plan state (repro.core.compiled): intra-batch successor
         # commands (direct references), batch position, owning arena, and
         # the resolved TaskFunction. _csucc is None for commands built
-        # outside an arena, which is how Worker._complete distinguishes
-        # the compiled cascade from the interpreted one.
+        # outside an arena (central dispatch), which is how
+        # Worker._complete knows there are no successor references to walk.
         "_csucc",
         "_cpos",
         "_carena",

@@ -142,7 +142,6 @@ class Worker(P.ReliableEndpoint, Actor):
         storage: DurableStorage,
         slots: int = 8,
         duration_scale: float = 1.0,
-        use_compiled: Optional[bool] = None,
     ):
         super().__init__(sim, f"worker-{worker_id}")
         self._init_reliable(metrics)
@@ -183,11 +182,9 @@ class Worker(P.ReliableEndpoint, Actor):
         #: every (patch_id, instance_id) ever run; guards redelivery
         self._ran_patches: set = set()
 
-        # compiled execution plans (repro.core.compiled): instantiations
-        # replay a pooled command arena instead of rebuilding command
-        # objects. Off via REPRO_COMPILED_TEMPLATES=0 or the constructor.
-        self._use_compiled = (compiled_mod.enabled_default()
-                              if use_compiled is None else bool(use_compiled))
+        # compiled execution plans (repro.core.compiled): template
+        # instances and patches replay a pooled command arena instead of
+        # rebuilding command objects
         self._cross_check = compiled_mod.cross_check_enabled()
         self._patch_plans: Dict[int, CompiledPlan] = {}
         self._live_arenas: set = set()
@@ -341,10 +338,10 @@ class Worker(P.ReliableEndpoint, Actor):
     def _on_dispatch_batch(self, msg: P.DispatchCommandBatch) -> None:
         """Coalesced central dispatch: enqueue cost stays per command.
 
-        Commands resolve sequentially (not via :meth:`_enqueue_batch`):
-        a central stream carries no cached before sets, so the conflict
-        tracker must see each command exactly as it would have arrived
-        in one-message-per-command dispatch.
+        Commands resolve one at a time: a central stream carries no
+        cached before sets, so the conflict tracker must see each command
+        exactly as it would have arrived in one-message-per-command
+        dispatch.
         """
         self.charge(self.costs.worker_enqueue_per_command * len(msg.items))
         scope = ("central", msg.block_seq)
@@ -407,51 +404,14 @@ class Worker(P.ReliableEndpoint, Actor):
     def _start_instance(self, half: WorkerHalf, block_id, version,
                         instance_id, cid_base, block_seq, params, key,
                         grant: Optional[_WorkerGrant] = None) -> None:
-        """Instantiate one template instance from an installed half.
+        """Instantiate one template instance by replaying its compiled plan.
 
         Shared by the centralized path (one InstantiateWorkerTemplate per
         instance) and the decentralized path (the worker advances through
         a self-schedule window); the command stream is identical either
-        way — only ``grant`` routing of the completion differs.
-        """
-        if self._use_compiled:
-            self._instantiate_compiled(half, block_id, version, instance_id,
-                                       cid_base, block_seq, params, key,
-                                       grant=grant)
-            return
-        commands = half.instantiate(
-            self.worker_id, instance_id, cid_base, params,
-        )
-        self.charge(
-            self.costs.worker_instantiate_per_command * len(commands)
-        )
-        report_cids = {
-            cid_base + idx for idx in half.reports
-            if half.entries[idx] is not None
-        }
-        record = _InstanceRecord(
-            block_id, instance_id, block_seq,
-            remaining=len(commands), report_cids=report_cids,
-            version=version, cid_base=cid_base,
-            task_times={} if self.report_task_times else None,
-            grant=grant,
-        )
-        self._instances[key] = record
-        meta_key = ("instance", key)
-        self._enqueue_batch(
-            commands,
-            [(meta_key, cmd.cid in report_cids, record) for cmd in commands])
-        if not commands:
-            self._finish_instance(record)
-
-    def _instantiate_compiled(self, half: WorkerHalf, block_id, version,
-                              instance_id, cid_base, block_seq, params, key,
-                              grant: Optional[_WorkerGrant] = None) -> None:
-        """Compiled fast path: replay a pooled command arena.
-
-        Equivalent to ``half.instantiate`` + ``_enqueue_batch`` — same
-        charge, same resolution order, same synchronous completions — but
-        touching only per-instance fields of reused Command objects.
+        way — only ``grant`` routing of the completion differs. The plan
+        is compiled on first use and after every edit; each instance then
+        touches only the per-instance fields of a pooled command arena.
         """
         fresh_plan = half._plan is None
         if fresh_plan:
@@ -489,13 +449,16 @@ class Worker(P.ReliableEndpoint, Actor):
                            instance_id, params, wm0, wm1) -> CommandArena:
         """Register, resolve, and sweep one instantiation of ``plan``.
 
-        Mirrors ``_enqueue_batch`` exactly: external dependencies are read
-        from the pre-batch conflict tracker (nothing external can complete
-        mid-handler, so checking up front is equivalent to the interpreted
-        per-command interleaving), the tracker gets the batch's *net*
-        update, and the sweep visits positions in entry order so zero-dep
-        SEND/RECV/CREATE commands complete synchronously at the same
-        points the interpreted path completes them.
+        Within a batch the plan's before sets are the complete
+        intra-block order (the generator and the edit planner both emit
+        every local conflict edge, forward edges of migration edits
+        included — Fig. 6), so the conflict tracker contributes only
+        *cross-batch* dependencies: ones on earlier instances, patches and
+        central commands. Those are read from the pre-batch tracker
+        (nothing external can complete mid-handler), the tracker gets the
+        batch's *net* update, and the sweep visits positions in entry
+        order so zero-dep SEND/RECV/CREATE commands complete synchronously
+        in entry order.
         """
         arena = plan.acquire(self.worker_id, self.registry)
         self._live_arenas.add(arena)
@@ -613,8 +576,8 @@ class Worker(P.ReliableEndpoint, Actor):
 
     def _cross_check_compiled(self, entries, reports, plan, arena,
                               instance_id, cid_base, params) -> None:
-        """Brute-force check of one compiled instantiation against the
-        interpreted path (REPRO_COMPILED_CROSS_CHECK=1)."""
+        """Brute-force check of one compiled instantiation against a fresh
+        ``instantiate_entries`` build (REPRO_COMPILED_CROSS_CHECK=1)."""
         fresh = compile_plan(entries, reports)
         if fresh.signature() != plan.signature():
             raise AssertionError(
@@ -691,72 +654,34 @@ class Worker(P.ReliableEndpoint, Actor):
         self._run_patch(msg.patch_id, entries, msg.instance_id, msg.cid_base)
 
     def _run_patch(self, patch_id, entries, instance_id, cid_base) -> None:
-        if self._use_compiled:
-            plan = self._patch_plans.get(patch_id)
-            if plan is None:
-                self._patch_plans[patch_id] = plan = compile_plan(entries, ())
-                self.plans_compiled += 1
-            self.charge(self.costs.worker_instantiate_per_command * plan.m)
-            if plan.m == 0:
-                return
-            wm = (None, False, None)
-            arena = self._run_compiled_plan(
-                plan, cid_base, instance_id, {}, wm, wm)
-            if self._cross_check:
-                self._cross_check_compiled(
-                    entries, (), plan, arena, instance_id, cid_base, {})
+        plan = self._patch_plans.get(patch_id)
+        if plan is None:
+            self._patch_plans[patch_id] = plan = compile_plan(entries, ())
+            self.plans_compiled += 1
+        self.charge(self.costs.worker_instantiate_per_command * plan.m)
+        if plan.m == 0:
             return
-        commands = instantiate_entries(
-            entries, self.worker_id, instance_id, cid_base, {},
-        )
-        self.charge(self.costs.worker_instantiate_per_command * len(commands))
-        self._enqueue_batch(commands, [(None, False, None)] * len(commands))
+        wm = (None, False, None)
+        arena = self._run_compiled_plan(
+            plan, cid_base, instance_id, {}, wm, wm)
+        if self._cross_check:
+            self._cross_check_compiled(
+                entries, (), plan, arena, instance_id, cid_base, {})
 
     # ------------------------------------------------------------------
     # Command queue: local readiness resolution (§3.1 requirement 1)
     # ------------------------------------------------------------------
     def _enqueue(self, cmd: Command, meta: Tuple) -> None:
-        self._register(cmd, meta)
-        self._resolve(cmd)
-
-    def _enqueue_batch(self, commands, metas) -> None:
-        """Enqueue an instantiation batch in two passes.
-
-        Registering every command before resolving dependencies lets cached
-        before sets reference *forward* indices within the batch — edits
-        such as a migrated read-modify-write task need the result RECV
-        (which keeps the task's old, low index) to wait for the input SEND
-        appended at a higher index (Fig. 6).
-
-        Within a batch the template's cached before sets are the complete
-        intra-block order (the generator and the edit planner both emit
-        every local conflict edge), so the object-conflict tracker only
-        contributes *cross-batch* dependencies — ordering this instance
-        against earlier instances, patches, and central commands.
-        """
-        batch = {cmd.cid for cmd in commands}
-        for cmd, meta in zip(commands, metas):
-            self._register(cmd, meta)
-        for cmd in commands:
-            self._resolve(cmd, exclude=batch)
-
-    def _register(self, cmd: Command, meta: Tuple) -> None:
+        """Enqueue one centrally dispatched command; ``meta`` is its
+        (("central", block_seq), report, None) completion metadata."""
         self._pending[cmd.cid] = cmd
         cmd._wmeta = meta
-        cmd._rem = -1  # not yet resolved
         if self._trace is not None:
-            meta_key = meta[0]
-            if meta_key is None:
-                run_seq = None
-            elif meta_key[0] == "central":
-                run_seq = meta_key[1]
-            else:
-                record = meta[2]
-                run_seq = record.block_seq if record is not None else None
             self._trace.cmd_enqueue(cmd.cid, cmd.kind, cmd.function,
-                                    self.name, run_seq)
+                                    self.name, meta[0][1])
+        self._resolve(cmd)
 
-    def _resolve(self, cmd: Command, exclude=frozenset()) -> None:
+    def _resolve(self, cmd: Command) -> None:
         # hot path: one call per command ever run; locals bound up front
         cid = cmd.cid
         pending = self._pending
@@ -769,19 +694,16 @@ class Worker(P.ReliableEndpoint, Actor):
                 deps.add(dep)
         for oid in read:
             writer = last_writer.get(oid)
-            if (writer is not None and writer != cid and writer in pending
-                    and writer not in exclude):
+            if writer is not None and writer != cid and writer in pending:
                 deps.add(writer)
         for oid in write:
             writer = last_writer.get(oid)
-            if (writer is not None and writer != cid and writer in pending
-                    and writer not in exclude):
+            if writer is not None and writer != cid and writer in pending:
                 deps.add(writer)
             readers = readers_since.get(oid)
             if readers:
                 for reader in readers:
-                    if (reader != cid and reader in pending
-                            and reader not in exclude):
+                    if reader != cid and reader in pending:
                         deps.add(reader)
         # update the conflict tracker
         for oid in read:
@@ -1020,8 +942,9 @@ class Worker(P.ReliableEndpoint, Actor):
             # yet have no dependency count to decrement — the adjustment
             # parks in arena.early and the sweep subtracts it. (Successors
             # at swept positions with _rem already 0 received every edge
-            # decrement before completing; the r > 0 guard mirrors the
-            # interpreted path's pending-membership check.)
+            # decrement before completing; the r > 0 guard skips them, as
+            # the cross-batch cascade below skips commands no longer
+            # pending.)
             arena = cmd._carena
             if csucc:
                 sweep = arena.sweep_pos

@@ -101,7 +101,7 @@ def run_lr(workers=4, iterations=8, seed=0, partitions_per_worker=4,
     The canonical subject of every seeded sweep: small enough to run in
     tens of milliseconds, rich enough (templates, reductions, patches
     under chaos) to exercise the whole control plane. Extra cluster
-    keywords (``use_compiled``, ``patch_cache_cap``, ...) pass through.
+    keywords (``mode``, ``patch_cache_cap``, ...) pass through.
     """
     spec = LRSpec(num_workers=workers, iterations=iterations,
                   partitions_per_worker=partitions_per_worker)

@@ -1,8 +1,25 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.nimbus import NimbusCluster
+
+
+@pytest.fixture
+def built_clusters(monkeypatch):
+    """Every NimbusCluster the CLI builds during the test, in order."""
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(NimbusCluster(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setitem(cli.SYSTEMS, "nimbus", build)
+    return built
 
 
 def test_parser_has_all_workloads():
@@ -87,6 +104,42 @@ def test_lr_decentralized_mode_runs(capsys):
     out = capsys.readouterr().out
     assert "logistic regression" in out
     assert "steady-state iteration time" in out
+
+
+def test_lr_sharded_mode_with_explicit_shards(capsys, built_clusters):
+    assert main(["lr", "--workers", "8", "--iterations", "12",
+                 "--mode", "sharded", "--shards", "3"]) == 0
+    assert "steady-state iteration time" in capsys.readouterr().out
+    (cluster,) = built_clusters
+    assert cluster.mode == "sharded" and cluster.num_shards == 3
+    assert cluster.metrics.count("self_schedule_instances") > 0
+
+
+def test_lr_under_chaos_is_deterministic(capsys):
+    argv = ["lr", "--workers", "8", "--iterations", "6",
+            "--chaos-profile", "lossy", "--chaos-seed", "7"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "chaos.drops" in out and "protocol.retries" in out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out  # same seed => same run
+
+
+def test_rebalance_recovers_from_straggler(capsys):
+    assert main(["rebalance", "--workers", "8", "--iterations", "30"]) == 0
+    out = capsys.readouterr().out
+    assert "rebalancer ON" in out
+    assert "converged                | True" in out
+
+
+def test_trace_writes_loadable_json(tmp_path, capsys):
+    out_path = tmp_path / "trace_fig07.json"
+    assert main(["trace", "fig07", "--workers", "8", "--iterations", "12",
+                 "--out", str(out_path)]) == 0
+    assert str(out_path) in capsys.readouterr().out
+    doc = json.loads(out_path.read_text())
+    assert doc["traceEvents"]
+    assert doc["otherData"]["inter_worker_copies"] > 0
 
 
 def test_decentralized_mode_requires_nimbus():

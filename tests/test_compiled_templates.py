@@ -1,14 +1,18 @@
-"""Compiled-plan equivalence: the compiled worker fast path is invisible.
+"""Compiled-plan equivalence: the compiled worker execution path is invisible.
 
-The compiled template path (``repro.core.compiled``) replays pooled
-command arenas instead of building fresh commands per instantiation. It
-must be *semantics-preserving by construction*: every run — fault-free,
-under chaos, or with mid-run edits/migration — produces bit-identical
-virtual results to the interpreted path. These tests sweep 20 seeds of
-randomized programs through both paths and compare everything observable:
-the full metrics counter snapshot, virtual end time, events run, and the
-final value of every data object.
+The worker runs every template instance and patch by replaying a compiled
+plan (``repro.core.compiled``): pooled command arenas instead of fresh
+commands per instantiation. It must be *semantics-preserving by
+construction*: every run — fault-free, under chaos, or with mid-run
+edits/migration, in every scheduling mode — produces bit-identical virtual
+results to the test-only interpreted oracle (``tests/oracle.py``). These
+tests sweep 20 seeds of randomized programs through both and compare
+everything observable: the full metrics counter snapshot, virtual end
+time, events run, and the final value of every data object.
 """
+
+import contextlib
+import itertools
 
 import pytest
 
@@ -25,13 +29,41 @@ from .helpers import (
     simple_define,
     worker_values,
 )
+from .oracle import InterpretedWorker, interpreted_workers
 
 NUM_OBJECTS = 8
 OIDS = list(range(1, NUM_OBJECTS + 1))
 SEEDS = range(20)
+MODES = ("centralized", "decentralized", "sharded")
+#: (mode, blocking) pairs every sweep runs: the blocking driver on the
+#: centralized control plane, then posted programs in each mode
+VARIANTS = [("centralized", True)] + [(mode, False) for mode in MODES]
 
 
-def _run(seed, use_compiled, chaos_profile=None, num_workers=3):
+def _finish(build, oracle):
+    """Build a cluster and run it to completion, on the oracle if asked.
+
+    Checks the run really took the path it claims: every worker of an
+    oracle run is an :class:`InterpretedWorker` and compiles no plan.
+    """
+    with interpreted_workers() if oracle else contextlib.nullcontext():
+        cluster = build()
+        cluster.run_until_finished(max_seconds=1e6)
+    workers = cluster.workers.values()
+    assert all(isinstance(w, InterpretedWorker) == oracle for w in workers)
+    if oracle:
+        assert sum(w.plans_compiled for w in workers) == 0
+    return cluster
+
+
+def _run(seed, oracle, mode="centralized", blocking=True,
+         chaos_profile=None, num_workers=3):
+    """One randomized combine program to completion.
+
+    Blocking programs wait for every block, round-robin over the blocks.
+    Posted programs queue each block's instances back to back, so the
+    self-scheduling modes coalesce them into windows.
+    """
     seed_block, params, blocks, iterations = random_combine_schedule(
         seed, OIDS)
 
@@ -39,54 +71,88 @@ def _run(seed, use_compiled, chaos_profile=None, num_workers=3):
         yield job.define(simple_define(
             {oid: (f"o{oid}", 8) for oid in OIDS}))
         yield job.run(seed_block, params)
-        for _ in range(iterations):
+        if blocking:
+            for _ in range(iterations):
+                for block in blocks:
+                    yield job.run(block)
+            return
+        for _ in range(2):
             for block in blocks:
-                yield job.run(block)
+                for _ in range(iterations + 3):  # past the install warm-up
+                    job.post(block)
+        yield job.drain()
 
     kwargs = {}
     if chaos_profile is not None:
         kwargs["chaos_plan"] = FaultPlan.from_profile(chaos_profile,
                                                       seed=seed)
-    cluster = NimbusCluster(num_workers, program,
-                            registry=combine_registry(),
-                            use_compiled=use_compiled, **kwargs)
-    cluster.run_until_finished(max_seconds=1e6)
+    cluster = _finish(
+        lambda: NimbusCluster(num_workers, program,
+                              registry=combine_registry(), mode=mode,
+                              **kwargs),
+        oracle)
     return cluster_observables(cluster, OIDS)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_compiled_matches_interpreted(seed):
-    _assert_identical(_run(seed, True), _run(seed, False), f"seed {seed}")
+def _sweep(*axes):
+    """pytest params: every combination of ``axes`` in every variant (the
+    blocking variant keeps the bare id)."""
+    cases = []
+    for values in itertools.product(*axes):
+        label = "-".join(str(v) for v in values)
+        for mode, blocking in VARIANTS:
+            cases.append(pytest.param(
+                *values, mode, blocking,
+                id=label if blocking else f"{label}-{mode}-posted"))
+    return cases
 
 
-@pytest.mark.parametrize("profile", sorted(PROFILES))
-@pytest.mark.parametrize("seed", [3, 11])
-def test_compiled_matches_interpreted_under_chaos(profile, seed):
+@pytest.mark.parametrize("seed,mode,blocking", _sweep(SEEDS))
+def test_compiled_matches_interpreted(seed, mode, blocking):
+    _assert_identical(_run(seed, False, mode, blocking),
+                      _run(seed, True, mode, blocking),
+                      f"seed {seed} mode {mode} blocking {blocking}")
+
+
+@pytest.mark.parametrize("seed,profile,mode,blocking",
+                         _sweep([3, 11], sorted(PROFILES)))
+def test_compiled_matches_interpreted_under_chaos(seed, profile, mode,
+                                                  blocking):
     _assert_identical(
-        _run(seed, True, chaos_profile=profile),
-        _run(seed, False, chaos_profile=profile),
-        f"seed {seed} profile {profile}",
+        _run(seed, False, mode, blocking, chaos_profile=profile),
+        _run(seed, True, mode, blocking, chaos_profile=profile),
+        f"seed {seed} profile {profile} mode {mode} blocking {blocking}",
     )
 
 
 def test_cross_check_mode_validates_every_instantiation(monkeypatch):
     """REPRO_COMPILED_CROSS_CHECK re-derives each instantiation through
-    the interpreted path and compares; a clean run means they agreed."""
+    ``instantiate_entries`` and compares; a clean run means they agreed."""
     monkeypatch.setenv("REPRO_COMPILED_CROSS_CHECK", "1")
-    _assert_identical(_run(7, True), _run(7, False), "cross-check seed 7")
+    for mode, blocking in VARIANTS:
+        _assert_identical(_run(7, False, mode, blocking),
+                          _run(7, True, mode, blocking),
+                          f"cross-check seed 7 mode {mode}")
 
 
 # ---------------------------------------------------------------------------
 # The fig10 path: mid-run migration edits the installed templates; the
 # compiled plans must be invalidated, recompiled, and still bit-identical.
 # ---------------------------------------------------------------------------
-def _run_lr_with_migrations(use_compiled, num_workers=4, iterations=12):
+def _run_lr_with_migrations(oracle=False, mode="centralized", num_workers=4,
+                            iterations=15):
     spec = LRSpec(num_workers=num_workers, iterations=iterations)
     app = LRApp(spec)
     box = {}
     state = {"round": 0}
 
     def migrate(controller):
+        if controller.jobs[0].policy.outstanding_grants():
+            # self-scheduling modes move the partition map only at a
+            # window boundary: retry until the grant in flight drains
+            controller.sim.schedule(1e-3, controller.deliver,
+                                    P.ManagerDirective(migrate))
+            return
         offset = state["round"]
         state["round"] += 1
         moves = [(offset % spec.num_partitions,
@@ -96,37 +162,51 @@ def _run_lr_with_migrations(use_compiled, num_workers=4, iterations=12):
     def program(job):
         yield job.define(app.variables.definitions)
         yield job.run(app.init_block)
-        for i in range(iterations):
-            if i in (6, 9):  # after templates are installed (warm-up is 3)
-                box["cluster"].controller.deliver(P.ManagerDirective(migrate))
-            yield job.run(app.iteration_block, {"step": spec.step_size})
+        params = {"step": spec.step_size}
+        for _ in range(6):  # past warm-up (3): templates are installed
+            yield job.run(app.iteration_block, params)
+        _req, submitted, completed = job.iteration_log[-1]
+        cluster = box["cluster"]
+        cluster.controller.deliver(P.ManagerDirective(migrate))
+        for _ in range(iterations - 6):
+            job.post(app.iteration_block, params)
+        # the second migration lands while the posted iterations run
+        cluster.sim.schedule(3 * (completed - submitted),
+                             cluster.controller.deliver,
+                             P.ManagerDirective(migrate))
+        yield job.drain()
 
-    cluster = NimbusCluster(num_workers, program, registry=app.registry,
-                            use_compiled=use_compiled)
-    box["cluster"] = cluster
-    cluster.run_until_finished(max_seconds=1e6)
-    return cluster
+    def build():
+        cluster = box["cluster"] = NimbusCluster(
+            num_workers, program, registry=app.registry, mode=mode)
+        cluster.driver.window_size = 3  # several window boundaries
+        return cluster
+
+    return _finish(build, oracle)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_compiled_matches_interpreted_across_migration(seed):
-    # seed only varies the run pairing; the LR program is deterministic,
+@pytest.mark.parametrize("seed,mode", [
+    pytest.param(seed, mode,
+                 id=str(seed) if mode == "centralized" else f"{seed}-{mode}")
+    for seed in range(3) for mode in MODES])
+def test_compiled_matches_interpreted_across_migration(seed, mode):
+    # seed only varies the worker count; the LR program is deterministic,
     # so one pair suffices per seed to catch pooling-state carryover
-    compiled = _run_lr_with_migrations(True, num_workers=4 + seed)
-    interpreted = _run_lr_with_migrations(False, num_workers=4 + seed)
+    compiled = _run_lr_with_migrations(False, mode, num_workers=4 + seed)
+    oracle = _run_lr_with_migrations(True, mode, num_workers=4 + seed)
     assert compiled.metrics.count("edits_applied") > 0
     oids = [obj.oid for obj in compiled.controller.directory.objects()]
     _assert_identical(
         (compiled.metrics.counters_snapshot(), compiled.sim.now,
          compiled.sim.events_run, worker_values(compiled, oids)),
-        (interpreted.metrics.counters_snapshot(), interpreted.sim.now,
-         interpreted.sim.events_run, worker_values(interpreted, oids)),
-        f"migration run, {4 + seed} workers",
+        (oracle.metrics.counters_snapshot(), oracle.sim.now,
+         oracle.sim.events_run, worker_values(oracle, oids)),
+        f"migration run, {4 + seed} workers, mode {mode}",
     )
 
 
 def test_migration_invalidates_and_recompiles_plans():
-    cluster = _run_lr_with_migrations(True)
+    cluster = _run_lr_with_migrations()
     recompiles = sum(w.plans_compiled for w in cluster.workers.values())
     workers = len(cluster.workers)
     # every worker compiles its half once; the two edit rounds force
