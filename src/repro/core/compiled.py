@@ -21,25 +21,20 @@ resolution. This module extends the caching one level down, from
   be in flight on a worker at once.
 
 Plans are the worker's only way to run a template instance or a patch.
-Their semantics are pinned against a test-only oracle that rebuilds every
-instance through ``instantiate_entries`` and resolves it in two passes
-(``tests/oracle.py``): virtual results (iteration times, decision
-counters, chaos snapshots) must be bit-identical. At runtime,
-``REPRO_COMPILED_CROSS_CHECK=1`` re-derives every instantiation through
-``instantiate_entries`` and compares field by field (and recompiles the
-plan to catch stale-plan-after-edit bugs).
+Their semantics are pinned by two test-only oracles (``tests/oracle.py``):
+one rebuilds every instance through ``instantiate_entries`` and resolves
+it in two passes, and virtual results (iteration times, decision
+counters, chaos snapshots) must be bit-identical; the other re-derives
+every compiled instantiation through ``instantiate_entries`` and compares
+it field by field, recompiling the plan to catch stale-plan-after-edit
+bugs.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..nimbus.commands import Command, CommandKind
-
-
-def cross_check_enabled() -> bool:
-    return os.environ.get("REPRO_COMPILED_CROSS_CHECK", "") not in ("", "0")
 
 
 class CommandArena:

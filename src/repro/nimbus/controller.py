@@ -38,7 +38,7 @@ jobs' completions seeds new jobs' placements on the least-loaded worker.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple, Union
 
 from ..core.controller_template import ControllerTemplate
 from ..core.edits import plan_migrations
@@ -401,9 +401,7 @@ class Controller(P.ReliableEndpoint, Actor):
             self.metrics.incr("controller.steady_messages_in")
         if msg.rel_seq is not None:
             self._handled_seq[msg.rel_src] = msg.rel_seq
-        if isinstance(msg, P.CommandComplete):
-            self._on_command_complete(msg)
-        elif isinstance(msg, P.CommandCompleteBatch):
+        if isinstance(msg, P.CommandCompleteBatch):
             self._on_command_complete_batch(msg)
         elif isinstance(msg, P.InstanceComplete):
             self._on_instance_complete(msg)
@@ -595,7 +593,7 @@ class Controller(P.ReliableEndpoint, Actor):
             lst.append((cmd, report))
             return
         self.send_reliable(self.workers[cmd.worker],
-                  P.DispatchCommand(cmd, run.seq, report))
+                           P.DispatchCommandBatch([(cmd, report)], run.seq))
 
     def _begin_dispatch_batch(self) -> None:
         self._dispatch_buffer = {}
@@ -610,12 +608,8 @@ class Controller(P.ReliableEndpoint, Actor):
         """
         buffer, self._dispatch_buffer = self._dispatch_buffer, None
         for worker, items in buffer.items():
-            if len(items) == 1:
-                cmd, report = items[0]
-                msg = P.DispatchCommand(cmd, run.seq, report)
-            else:
-                msg = P.DispatchCommandBatch(items, run.seq)
-            self.send_reliable(self.workers[worker], msg)
+            self.send_reliable(self.workers[worker],
+                               P.DispatchCommandBatch(items, run.seq))
 
     def _schedule_task_centrally(
         self,
@@ -670,15 +664,27 @@ class Controller(P.ReliableEndpoint, Actor):
     def _run_block_centrally(
         self,
         ctx: JobContext,
-        block: BlockSpec,
+        block: Union[BlockSpec, ControllerTemplate],
         params: Dict[str, Any],
         capture: bool,
         receive_cost: bool,
         seq: Optional[int] = None,
         request_id: int = 0,
     ) -> _BlockRun:
+        """Schedule one run of ``block`` centrally, task by task.
+
+        ``block`` is a submitted :class:`BlockSpec`, whose tasks are placed
+        by the controller's assignment rule, or a :class:`ControllerTemplate`
+        in installation phases 1–2 (Fig. 9), whose cached assignment is
+        replayed.
+        """
         run = self._new_run(ctx, block.block_id, block.num_tasks, "central",
                             seq, request_id)
+        placed = isinstance(block, ControllerTemplate)
+        if placed:
+            tasks = block.entries
+        else:
+            tasks = [task for _stage_name, task in block.all_tasks()]
         if capture and block.block_id in ctx.templates:
             capture = False  # already installed (e.g. resubmitted after recovery)
         returns_rev = {oid: name for name, oid in block.returns.items()}
@@ -696,8 +702,9 @@ class Controller(P.ReliableEndpoint, Actor):
         assign = self._assign_worker
         charged = self._charged
         self._begin_dispatch_batch()
-        for _stage_name, task in block.all_tasks():
-            worker = assign(ctx, task.read, task.write)
+        for task in tasks:
+            worker = (task.worker if placed
+                      else assign(ctx, task.read, task.write))
             assignment.append(worker)
             charged += cost
             task_params = params.get(task.param_slot) if task.param_slot else None
@@ -855,7 +862,9 @@ class Controller(P.ReliableEndpoint, Actor):
                     block_id=block_id, **wts.stats())
             ctx.worker_templates[wts.key] = wts
             ctx.phase[block_id] = self.PHASE_WT_GENERATED
-            self._dispatch_from_template(ctx, instance, msg.request_id)
+            self._run_block_centrally(
+                ctx, template, msg.params, capture=False,
+                receive_cost=False, request_id=msg.request_id)
             return
         if phase == self.PHASE_WT_GENERATED:
             # ship worker halves while dispatching centrally (iteration 12)
@@ -863,7 +872,9 @@ class Controller(P.ReliableEndpoint, Actor):
             wts = ctx.worker_templates[(block_id, version)]
             self._install_worker_halves(ctx, wts)
             ctx.phase[block_id] = self.PHASE_WT_INSTALLED
-            self._dispatch_from_template(ctx, instance, msg.request_id)
+            self._run_block_centrally(
+                ctx, template, msg.params, capture=False,
+                receive_cost=False, request_id=msg.request_id)
             return
 
         # steady state (iteration 13+): validate, patch, instantiate
@@ -894,27 +905,6 @@ class Controller(P.ReliableEndpoint, Actor):
                 self._apply_patch(ctx, wts, violations)
         self._instantiate_worker_templates(ctx, wts, instance, msg.params,
                                            msg.request_id)
-
-    def _dispatch_from_template(self, ctx: JobContext, instance,
-                                request_id: int = 0) -> None:
-        """Centrally dispatch a controller-template instance (phases 1–2)."""
-        template = instance.template
-        run = self._new_run(ctx, template.block_id, template.num_tasks,
-                            "central", request_id=request_id)
-        returns_rev = {oid: name for name, oid in template.returns.items()}
-        self._begin_dispatch_batch()
-        for entry in template.entries:
-            self.charge(self.costs.central_schedule_per_task)
-            self._schedule_task_centrally(
-                run, entry.function, entry.read, entry.write, entry.worker,
-                instance.param_of(entry), returns_rev,
-            )
-        self._flush_dispatch_batch(run)
-        ctx.metrics.incr("tasks_scheduled", template.num_tasks)
-        ctx.validation_state.invalidate()
-        ctx.prev_block_key = ("central", template.block_id)
-        if self._trace is not None:
-            self._trace_decided(run)
 
     def _install_worker_halves(self, ctx: JobContext,
                                wts: WorkerTemplateSet) -> None:
@@ -1401,11 +1391,6 @@ class Controller(P.ReliableEndpoint, Actor):
         same instant the dispatch messages depart the controller.
         """
         self._trace.run_decided(run.seq, self._handler_start + self._charged)
-
-    def _on_command_complete(self, msg: P.CommandComplete) -> None:
-        self.charge(self.costs.controller_completion_per_task)
-        self._complete_command(msg.worker_id, msg.cid, msg.block_seq,
-                               msg.duration, msg.value)
 
     def _on_command_complete_batch(self, msg: P.CommandCompleteBatch) -> None:
         # the per-completion cost is charged per item: coalescing saves

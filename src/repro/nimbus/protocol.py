@@ -190,24 +190,15 @@ class UndefineObjects(Message):
         self.size_bytes = 16 * len(oids)
 
 
-class DispatchCommand(Message):
-    """Centrally dispatch one concrete command (one message per task)."""
-
-    def __init__(self, command: Command, block_seq: int, report: bool = False):
-        self.command = command
-        self.block_seq = block_seq
-        self.report = report  # send the written value back with completion
-        self.size_bytes = TASK_DESC_BYTES
-
-
 class DispatchCommandBatch(Message):
-    """Centrally dispatch a coalesced command list to one worker.
+    """Centrally dispatch a command list to one worker.
 
-    One message carries every command a block run schedules on that worker
-    (in dispatch order, so worker-side conflict tracking sees the same
-    sequence as individual dispatches). The wire size and the worker's
-    per-command enqueue cost are both charged per task — batching saves
-    messages and per-message control-plane work, not modeled task work.
+    The central path's only dispatch message: it carries every command a
+    block run schedules on that worker, in dispatch order (an unbuffered
+    dispatch, as the Spark baseline's, sends a one-item batch). The wire
+    size and the worker's per-command enqueue cost are both charged per
+    task — batching saves messages and per-message control-plane work,
+    not modeled task work.
     """
 
     def __init__(self, items: List[Tuple[Command, bool]], block_seq: int):
@@ -370,26 +361,13 @@ class ManagerDirective(Message):
 # ---------------------------------------------------------------------------
 # worker → controller
 # ---------------------------------------------------------------------------
-class CommandComplete(Message):
-    """Per-command completion ack (central path)."""
-
-    def __init__(self, worker_id: int, cid: int, block_seq: int,
-                 duration: float, value: Any = None, oid: Optional[int] = None):
-        self.worker_id = worker_id
-        self.cid = cid
-        self.block_seq = block_seq
-        self.duration = duration
-        self.value = value
-        self.oid = oid
-        self.size_bytes = 64
-
-
 class CommandCompleteBatch(Message):
-    """Coalesced per-command completions (central path).
+    """Per-command completions (central path).
 
-    A worker's completions within one flush window ride in a single
-    message; the controller charges its per-completion cost for each item,
-    so only message and event overhead is saved — never modeled work.
+    The central path's only completion message: a worker's completions
+    within one flush window ride in a single message; the controller
+    charges its per-completion cost for each item, so only message and
+    event overhead is saved — never modeled work.
     """
 
     def __init__(self, worker_id: int,
@@ -642,6 +620,7 @@ class ReliableEndpoint:
         neither a drop nor a spurious retransmission is possible and the
         bookkeeping is provably unobservable. ``Network.partition`` flips
         ``lossless`` off permanently, so this can never race a heal.
+        Traced runs keep the framing: they are the unfused reference.
 
         Remote sends always take the fully-tracked path, even on a
         lossless network. Retransmissions there are *not* loss-driven
@@ -653,7 +632,7 @@ class ReliableEndpoint:
         if not isinstance(dst, ReliableEndpoint):
             self.send(dst, msg)  # peer speaks only the raw protocol
             return
-        if (dst is self and self._fused and self._trace is None
+        if (dst is self and self._trace is None
                 and self.network is not None and self.network.lossless):
             # the receiver treats an unframed message as a direct delivery
             self.send(dst, msg)

@@ -23,9 +23,8 @@ import heapq
 from collections import deque
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from ..core import compiled as compiled_mod
 from ..core.compiled import CommandArena, CompiledPlan, compile_plan
-from ..core.worker_template import WorkerHalf, instantiate_entries
+from ..core.worker_template import WorkerHalf
 from ..sim.actor import Actor, Message, _Callback
 from ..sim.engine import Simulator
 from ..sim.metrics import Metrics
@@ -35,6 +34,20 @@ from .data import ObjectStore
 from .multijob import OID_STRIDE
 from .runtime import FunctionRegistry, TaskContext
 from . import protocol as P
+
+#: seconds a worker buffers central-path completions before flushing
+#: them to the controller as one CommandCompleteBatch
+COMPLETION_FLUSH_WINDOW = 1e-3
+
+#: decentralized mode: template instances a self-schedule grant keeps in
+#: flight at once. Instances of one block RMW the same partitions, so
+#: conflict tracking serializes them anyway — measured: depths 1/2/4
+#: produce identical virtual timelines on fig07@400 while depth 4 costs
+#: ~60% more host wall, because every instantiated-but-blocked instance
+#: inflates the pending dependency graph that each later ext check and
+#: completion cascade must walk. Instantiation itself is one 2 µs charge,
+#: so eager depth buys no pipelining the tracker would permit.
+SELF_SCHEDULE_DEPTH = 1
 
 
 class DurableStorage:
@@ -88,7 +101,7 @@ class _WorkerGrant:
     """Worker-side state of one self-schedule window (DESIGN.md §14).
 
     The worker consumes ``instances`` front to back, keeping at most
-    ``Worker.self_schedule_depth`` in flight; ``rows`` accumulate one
+    :data:`SELF_SCHEDULE_DEPTH` in flight; ``rows`` accumulate one
     completion row per finished instance for the final WindowSummary.
     """
 
@@ -185,7 +198,6 @@ class Worker(P.ReliableEndpoint, Actor):
         # compiled execution plans (repro.core.compiled): template
         # instances and patches replay a pooled command arena instead of
         # rebuilding command objects
-        self._cross_check = compiled_mod.cross_check_enabled()
         self._patch_plans: Dict[int, CompiledPlan] = {}
         self._live_arenas: set = set()
         self.plans_compiled = 0  # introspection: plan (re)compilations
@@ -198,11 +210,6 @@ class Worker(P.ReliableEndpoint, Actor):
 
         #: self-schedule grants in flight, keyed (job_id, window_id)
         self._grants: Dict[Tuple[int, int], _WorkerGrant] = {}
-        #: shard-relayed windows that outran their template install on
-        #: the direct controller channel, keyed (job_id, block_id,
-        #: version); started the moment the install lands
-        self._deferred_windows: Dict[Tuple[int, str, int],
-                                     List[P.SelfScheduleWindow]] = {}
         #: shard-relayed windows held behind their causal barrier: the
         #: coordinator stamped each with the controller→worker channel
         #: sequence it must not overtake (``barrier_seq``), and the
@@ -226,18 +233,6 @@ class Worker(P.ReliableEndpoint, Actor):
         # perceptibly delaying block completion (window ≪ task duration).
         self._completion_buffer: List[Tuple[int, int, float, Any, Optional[int]]] = []
         self._completion_flush_pending = False
-        self.completion_flush_window = 1e-3
-
-        #: decentralized mode: template instances a self-schedule grant
-        #: keeps in flight at once. Instances of one block RMW the same
-        #: partitions, so conflict tracking serializes them anyway —
-        #: measured: depths 1/2/4 produce identical virtual timelines on
-        #: fig07@400 while depth 4 costs ~60% more host wall, because
-        #: every instantiated-but-blocked instance inflates the pending
-        #: dependency graph that each later ext check and completion
-        #: cascade must walk. Instantiation itself is one 2 µs charge, so
-        #: eager depth buys no pipelining the tracker would permit.
-        self.self_schedule_depth = 1
 
         #: job ids the controller has released (cancel/crash); in-flight
         #: commands of these jobs drain without executing their bodies
@@ -273,8 +268,6 @@ class Worker(P.ReliableEndpoint, Actor):
             self._ctrl_handled_seq = msg.rel_seq
         if isinstance(msg, P.DataMessage):
             self._on_data(msg)
-        elif isinstance(msg, P.DispatchCommand):
-            self._on_dispatch(msg)
         elif isinstance(msg, P.DispatchCommandBatch):
             self._on_dispatch_batch(msg)
         elif isinstance(msg, P.InstantiateWorkerTemplate):
@@ -330,23 +323,24 @@ class Worker(P.ReliableEndpoint, Actor):
     # ------------------------------------------------------------------
     # Central dispatch path
     # ------------------------------------------------------------------
-    def _on_dispatch(self, msg: P.DispatchCommand) -> None:
-        self.charge(self.costs.worker_enqueue_per_command)
-        meta = (("central", msg.block_seq), msg.report, None)
-        self._enqueue(msg.command, meta)
-
     def _on_dispatch_batch(self, msg: P.DispatchCommandBatch) -> None:
         """Coalesced central dispatch: enqueue cost stays per command.
 
-        Commands resolve one at a time: a central stream carries no
-        cached before sets, so the conflict tracker must see each command
-        exactly as it would have arrived in one-message-per-command
-        dispatch.
+        Commands resolve one at a time, in dispatch order: a central
+        stream carries no cached before sets, so the conflict tracker sees
+        each command exactly as the controller scheduled it.
         """
         self.charge(self.costs.worker_enqueue_per_command * len(msg.items))
         scope = ("central", msg.block_seq)
+        pending = self._pending
+        tr = self._trace
         for cmd, report in msg.items:
-            self._enqueue(cmd, (scope, report, None))
+            pending[cmd.cid] = cmd
+            cmd._wmeta = (scope, report, None)
+            if tr is not None:
+                tr.cmd_enqueue(cmd.cid, cmd.kind, cmd.function, self.name,
+                               msg.block_seq)
+            self._resolve(cmd)
 
     # ------------------------------------------------------------------
     # Template install / instantiate
@@ -371,12 +365,6 @@ class Worker(P.ReliableEndpoint, Actor):
             self._trace.instant(self.name, "template", "template.install",
                                 block_id=msg.block_id, version=msg.version,
                                 entries=len(entries))
-        # start any shard-relayed window that arrived before this install
-        deferred = self._deferred_windows.pop(
-            (msg.job_id, msg.block_id, msg.version), None)
-        if deferred:
-            for window in deferred:
-                self._on_self_schedule(window)
 
     def _on_instantiate_template(self, msg: P.InstantiateWorkerTemplate) -> None:
         key = (msg.block_id, msg.instance_id)
@@ -435,15 +423,10 @@ class Worker(P.ReliableEndpoint, Actor):
             self._finish_instance(record)
             return
         meta_key = ("instance", key)
-        arena = self._run_compiled_plan(
+        self._run_compiled_plan(
             plan, cid_base, instance_id, params,
             (meta_key, False, record), (meta_key, True, record),
         )
-        if self._cross_check:
-            self._cross_check_compiled(
-                half.entries, half.reports, plan, arena,
-                instance_id, cid_base, params,
-            )
 
     def _run_compiled_plan(self, plan: CompiledPlan, cid_base: int,
                            instance_id, params, wm0, wm1) -> CommandArena:
@@ -574,32 +557,6 @@ class Worker(P.ReliableEndpoint, Actor):
         self._live_arenas.discard(arena)
         arena.release()
 
-    def _cross_check_compiled(self, entries, reports, plan, arena,
-                              instance_id, cid_base, params) -> None:
-        """Brute-force check of one compiled instantiation against a fresh
-        ``instantiate_entries`` build (REPRO_COMPILED_CROSS_CHECK=1)."""
-        fresh = compile_plan(entries, reports)
-        if fresh.signature() != plan.signature():
-            raise AssertionError(
-                "compiled plan is stale: recompiling the entry array "
-                "produced a different plan (missing invalidation?)")
-        ref = instantiate_entries(
-            entries, self.worker_id, instance_id, cid_base, params)
-        if len(ref) != plan.m:
-            raise AssertionError(
-                f"compiled plan has {plan.m} commands; interpreted "
-                f"instantiation produced {len(ref)}")
-        for i, want in enumerate(ref):
-            got = arena.cmds[i]
-            for field in ("cid", "kind", "read", "write", "function",
-                          "params", "dst_worker", "src_worker", "tag",
-                          "size_bytes"):
-                g, w = getattr(got, field), getattr(want, field)
-                if g != w:
-                    raise AssertionError(
-                        f"compiled command {i} (cid {got.cid}) differs from "
-                        f"interpreted: {field}={g!r} != {w!r}")
-
     def _on_release_job(self, msg: P.ReleaseJob) -> None:
         """A tenant was cancelled or crashed: scrub it from this worker.
 
@@ -609,18 +566,15 @@ class Worker(P.ReliableEndpoint, Actor):
         bodies (see :meth:`_task_finished`), so pipelines never wedge and
         no task ever touches the destroyed data.
 
-        Windows close *first*: with the grants (and any deferred
-        windows) gone before the objects are destroyed, the draining
-        commands can no longer self-advance a fresh instance of the dead
-        job or emit a WindowSummary for it — the release-mid-window
-        race this ordering used to leave open.
+        Windows close *first*: with the grants (and any windows parked
+        behind their causal barrier) gone before the objects are
+        destroyed, the draining commands can no longer self-advance a
+        fresh instance of the dead job or emit a WindowSummary for it —
+        the release-mid-window race this ordering used to leave open.
         """
         self._released_jobs.add(msg.job_id)
         for key in [k for k in self._grants if k[0] == msg.job_id]:
             del self._grants[key]  # in-flight instances drain body-less
-        for key in [k for k in self._deferred_windows
-                    if k[0] == msg.job_id]:
-            del self._deferred_windows[key]
         self._barrier_windows = [w for w in self._barrier_windows
                                  if w.job_id != msg.job_id]
         for oid in msg.oids:
@@ -662,25 +616,11 @@ class Worker(P.ReliableEndpoint, Actor):
         if plan.m == 0:
             return
         wm = (None, False, None)
-        arena = self._run_compiled_plan(
-            plan, cid_base, instance_id, {}, wm, wm)
-        if self._cross_check:
-            self._cross_check_compiled(
-                entries, (), plan, arena, instance_id, cid_base, {})
+        self._run_compiled_plan(plan, cid_base, instance_id, {}, wm, wm)
 
     # ------------------------------------------------------------------
     # Command queue: local readiness resolution (§3.1 requirement 1)
     # ------------------------------------------------------------------
-    def _enqueue(self, cmd: Command, meta: Tuple) -> None:
-        """Enqueue one centrally dispatched command; ``meta`` is its
-        (("central", block_seq), report, None) completion metadata."""
-        self._pending[cmd.cid] = cmd
-        cmd._wmeta = meta
-        if self._trace is not None:
-            self._trace.cmd_enqueue(cmd.cid, cmd.kind, cmd.function,
-                                    self.name, meta[0][1])
-        self._resolve(cmd)
-
     def _resolve(self, cmd: Command) -> None:
         # hot path: one call per command ever run; locals bound up front
         cid = cmd.cid
@@ -803,7 +743,7 @@ class Worker(P.ReliableEndpoint, Actor):
         zero = sim._zero
         push = heapq.heappush
         tr = self._trace
-        cohorts = self._fused and tr is None
+        cohorts = tr is None
         while free > 0 and ready:
             cmd = ready.popleft()
             free -= 1
@@ -1001,7 +941,7 @@ class Worker(P.ReliableEndpoint, Actor):
         self._completion_buffer.append((cid, key, duration, value, oid))
         if not self._completion_flush_pending:
             self._completion_flush_pending = True
-            self.call_later(self.completion_flush_window,
+            self.call_later(COMPLETION_FLUSH_WINDOW,
                             self._flush_completions)
 
     def _flush_completions(self) -> None:
@@ -1010,7 +950,7 @@ class Worker(P.ReliableEndpoint, Actor):
         Called from the timer, and synchronously before any *other*
         controller-bound message leaves this worker: buffered completions
         must not be overtaken on the in-order channel (e.g. a later run's
-        InstanceComplete beating an earlier run's final CommandComplete
+        InstanceComplete beating an earlier run's final completion
         would complete blocks out of request order at the driver).
         """
         self._completion_flush_pending = False
@@ -1018,13 +958,8 @@ class Worker(P.ReliableEndpoint, Actor):
             self._completion_buffer = []
             return
         items, self._completion_buffer = self._completion_buffer, []
-        if len(items) == 1:
-            cid, block_seq, duration, value, oid = items[0]
-            self.send_reliable(self.controller, P.CommandComplete(
-                self.worker_id, cid, block_seq, duration, value, oid))
-        else:
-            self.send_reliable(self.controller,
-                               P.CommandCompleteBatch(self.worker_id, items))
+        self.send_reliable(self.controller,
+                           P.CommandCompleteBatch(self.worker_id, items))
 
     def _finish_instance(self, record: _InstanceRecord) -> None:
         del self._instances[(record.block_id, record.instance_id)]
@@ -1066,15 +1001,9 @@ class Worker(P.ReliableEndpoint, Actor):
             return
         half = self._templates.get((msg.job_id, msg.block_id, msg.version))
         if half is None:
-            if msg.reply_to is not None:
-                # sharded relay beat the template install, which rides
-                # the direct controller channel: park the window until
-                # the install lands (impossible in decentralized mode,
-                # where both share one in-order channel)
-                self._deferred_windows.setdefault(
-                    (msg.job_id, msg.block_id, msg.version), []).append(msg)
-                self.metrics.incr("self_schedule.deferred_windows")
-                return
+            # the install rides the direct controller channel ahead of the
+            # grant, and a shard-relayed window's barrier_seq covers it,
+            # so a missing template is a protocol bug in every mode
             raise KeyError(
                 f"worker {self.worker_id}: job {msg.job_id} granted a "
                 f"self-schedule window for ({msg.block_id!r}, "
@@ -1092,7 +1021,7 @@ class Worker(P.ReliableEndpoint, Actor):
 
     def _advance_grant(self, grant: _WorkerGrant) -> None:
         """Consume the grant's instance list, pipelining up to
-        ``self_schedule_depth`` instances locally.
+        :data:`SELF_SCHEDULE_DEPTH` instances locally.
 
         Before crossing each block boundary the worker checks that the
         partition map has not moved since the grant was issued; a moved
@@ -1106,7 +1035,7 @@ class Worker(P.ReliableEndpoint, Actor):
         if grant.epoch > self._pm_epoch:
             self._pm_epoch = grant.epoch
         instances = grant.instances
-        while (grant.active < self.self_schedule_depth
+        while (grant.active < SELF_SCHEDULE_DEPTH
                and grant.next < len(instances)
                and not grant.stalled):
             if self._pm_epoch > grant.epoch:
@@ -1210,7 +1139,6 @@ class Worker(P.ReliableEndpoint, Actor):
         self._expected.clear()
         self._instances.clear()
         self._grants.clear()  # abandoned: recovery re-grants from scratch
-        self._deferred_windows.clear()
         self._barrier_windows.clear()
         self._completion_buffer.clear()  # stale: their runs were abandoned
         # arenas of abandoned instances: every per-instance field is

@@ -67,9 +67,9 @@ from ..sim.engine import Simulator
 #: fig07/fig08 sweeps so CI gates its virtual results exactly — and
 #: isolates ``bench_engine_events`` on a fresh simulator per chunk so
 #: prior events can never inflate the reported rate. Workload rows are
-#: measured with event-loop cohort batching and completion fusion on
-#: (the default; REPRO_FUSED_CHAINS=0 restores the one-event-per-hop
-#: loop with bit-identical virtual results).
+#: measured with event-loop cohort batching and completion fusion on, as
+#: every untraced run is (traced runs take the one-event-per-hop loop
+#: with bit-identical virtual results).
 #: v7 adds the ``scheduling_modes`` section (DESIGN.md §14): fig07/fig08
 #: at the scale's mode worker counts, centralized vs decentralized, 30
 #: iterations, recording wall clock (min over interleaved repetitions —

@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
-from . import fastpath
 from .engine import Simulator
 
 
@@ -72,12 +71,6 @@ class Actor:
         #: attached Tracer, or None (the common case — every hook site
         #: guards with a single `is not None` check, nothing is allocated)
         self._trace = None
-        #: fused drain chains (REPRO_FUSED_CHAINS): when the next inbox
-        #: message's service time is reachable via Simulator.try_advance,
-        #: the drain loop continues inline instead of scheduling a fresh
-        #: event per message. Wall-clock only; never active while traced.
-        self._fused = fastpath.enabled_default()
-        self._fused_check = fastpath.cross_check_enabled()
 
     # ------------------------------------------------------------------
     # Messaging
@@ -208,7 +201,9 @@ class Actor:
         # simulation is due first, claim the clock via try_advance and keep
         # draining inside this one event. Each fused hop is accounted in
         # events_run, so fused and unfused runs report comparable counts.
-        fused = self._fused and self._trace is None
+        # Traced runs take one event per hop, which makes them the
+        # unfused reference the fused loop is tested against.
+        fused = self._trace is None
         while True:
             msg = inbox.popleft()
             self._charged = 0.0
@@ -233,17 +228,6 @@ class Actor:
             now = sim._now
             next_time = busy_until if busy_until > now else now
             if fused and sim.try_advance(next_time):
-                if self._fused_check:
-                    # independent re-derivation from the raw queues: the
-                    # unfused path would schedule a drain at next_time with
-                    # the next seq, and that event runs next iff no zero-
-                    # delay work is pending and every heap entry is due
-                    # strictly later (an entry AT next_time has a smaller
-                    # seq and would run first)
-                    heap = sim._heap
-                    assert sim._now == next_time and not sim._zero and (
-                        not heap or heap[0][0] > next_time), \
-                        "fused drain hop would reorder pending events"
                 sim._events_run += 1
                 continue
             sim.schedule_fast(next_time, self._drain, ())

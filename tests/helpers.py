@@ -200,6 +200,34 @@ def random_combine_schedule(seed: int, oids: Sequence[int]):
     return seed_block, params, blocks, iterations
 
 
+def combine_program(seed: int, oids: Sequence[int], blocking: bool = True):
+    """The driver program of :func:`random_combine_schedule` ``seed``.
+
+    Blocking programs wait for every block, round-robin over the blocks.
+    Posted programs queue each block's instances back to back, so the
+    self-scheduling modes coalesce them into windows.
+    """
+    seed_block, params, blocks, iterations = random_combine_schedule(
+        seed, oids)
+
+    def program(job):
+        yield job.define(simple_define(
+            {oid: (f"o{oid}", 8) for oid in oids}))
+        yield job.run(seed_block, params)
+        if blocking:
+            for _ in range(iterations):
+                for block in blocks:
+                    yield job.run(block)
+            return
+        for _ in range(2):
+            for block in blocks:
+                for _ in range(iterations + 3):  # past the install warm-up
+                    job.post(block)
+        yield job.drain()
+
+    return program
+
+
 def cluster_observables(cluster, oids):
     """(counters, virtual end time, events, final object values) — the
     four-way observable the equivalence sweeps compare."""

@@ -1,22 +1,41 @@
-"""Test-only oracle for the worker's compiled execution plans.
+"""Test-only oracles: re-derivations of decisions the runtime caches.
 
-The runtime worker runs every template instance and patch by replaying a
-compiled plan (``repro.core.compiled``). :class:`InterpretedWorker` is the
-straightforward reading of the same protocol: it rebuilds fresh commands
-from the entry array through ``instantiate_entries`` and resolves them in
-two passes against the worker's dict-based conflict tracker. Running a
-cluster under :func:`interpreted_workers` and comparing its observables
-with a normal run proves the plans are semantics-preserving.
+The runtime takes one path for each of these, and these oracles re-derive
+its answers the slow, obvious way:
+
+* :class:`InterpretedWorker` is the straightforward reading of the worker
+  protocol. The runtime replays a compiled plan (``repro.core.compiled``)
+  for every template instance and patch; this worker rebuilds fresh
+  commands through ``instantiate_entries`` and resolves them in two passes
+  against the dict-based conflict tracker. Running a cluster under
+  :func:`interpreted_workers` and comparing its observables with a normal
+  run proves the plans are semantics-preserving.
+* :class:`CrossCheckedWorker` (:func:`cross_checked_workers`) recompiles
+  each plan it replays and compares every command of every instantiation,
+  field by field, with a fresh ``instantiate_entries`` build.
+* :func:`checked_fused_hops` re-derives every clock claim that
+  ``Simulator.try_advance`` grants (the fused drain chains of
+  ``Actor._drain``) from the raw event queues.
+* :func:`checked_validation` compares every incremental template
+  validation the controller performs with the brute-force scan.
+
+None of them changes what a run computes, so each can be installed in any
+sweep that compares virtual results.
 """
 
 from __future__ import annotations
 
+import contextlib
 from unittest import mock
 
+from repro.core.compiled import compile_plan
+from repro.core.validation import brute_force_validate
 from repro.core.worker_template import instantiate_entries
 from repro.nimbus import cluster as cluster_mod
+from repro.nimbus import controller as controller_mod
 from repro.nimbus.commands import CommandKind
 from repro.nimbus.worker import Worker, _InstanceRecord
+from repro.sim.engine import Simulator
 
 
 class InterpretedWorker(Worker):
@@ -108,3 +127,129 @@ def interpreted_workers():
     """Context manager: every cluster worker created inside it (autoscaler
     provisions included) is an :class:`InterpretedWorker`."""
     return mock.patch.object(cluster_mod, "Worker", InterpretedWorker)
+
+
+class CrossCheckedWorker(Worker):
+    """A worker that re-derives every compiled instantiation it runs.
+
+    Right after each replay the plan is recompiled from the entry array
+    (equal signatures, or the cached plan is stale — a missed
+    invalidation), and every arena command is compared, field by field,
+    with the command a fresh ``instantiate_entries`` build produces.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: (entries, reports) of the plans being replayed, innermost last
+        #: (a synchronous completion can start the next instance mid-sweep)
+        self._sources = []
+        self.instantiations_checked = 0
+
+    def _start_instance(self, half, *args, **kwargs) -> None:
+        self._sources.append((half.entries, half.reports))
+        try:
+            super()._start_instance(half, *args, **kwargs)
+        finally:
+            self._sources.pop()
+
+    def _run_patch(self, patch_id, entries, instance_id, cid_base) -> None:
+        self._sources.append((entries, ()))
+        try:
+            super()._run_patch(patch_id, entries, instance_id, cid_base)
+        finally:
+            self._sources.pop()
+
+    def _run_compiled_plan(self, plan, cid_base, instance_id, params,
+                           wm0, wm1):
+        entries, reports = self._sources[-1]
+        arena = super()._run_compiled_plan(plan, cid_base, instance_id,
+                                           params, wm0, wm1)
+        if compile_plan(entries, reports).signature() != plan.signature():
+            raise AssertionError(
+                "compiled plan is stale: recompiling the entry array "
+                "produced a different plan (missing invalidation?)")
+        ref = instantiate_entries(entries, self.worker_id, instance_id,
+                                  cid_base, params)
+        if len(ref) != plan.m:
+            raise AssertionError(
+                f"compiled plan has {plan.m} commands; interpreted "
+                f"instantiation produced {len(ref)}")
+        for i, want in enumerate(ref):
+            got = arena.cmds[i]
+            for field in ("cid", "kind", "read", "write", "function",
+                          "params", "dst_worker", "src_worker", "tag",
+                          "size_bytes"):
+                g, w = getattr(got, field), getattr(want, field)
+                if g != w:
+                    raise AssertionError(
+                        f"compiled command {i} (cid {got.cid}) differs from "
+                        f"interpreted: {field}={g!r} != {w!r}")
+        self.instantiations_checked += 1
+        return arena
+
+
+def cross_checked_workers():
+    """Context manager: every cluster worker created inside it is a
+    :class:`CrossCheckedWorker`."""
+    return mock.patch.object(cluster_mod, "Worker", CrossCheckedWorker)
+
+
+@contextlib.contextmanager
+def checked_fused_hops():
+    """Context manager: every clock claim ``Simulator.try_advance`` grants
+    inside it is re-derived from the raw event queues.
+
+    The unfused loop would schedule the next drain at the claimed time
+    with the next sequence number; that event runs next iff no zero-delay
+    work is pending, every heap entry is due strictly later (an entry *at*
+    that time has a smaller seq and would run first), and the time is
+    within the run's deadline. Yields a dict counting the claims checked.
+    """
+    real = Simulator.try_advance
+    stats = {"claims": 0}
+
+    def try_advance(sim, time):
+        if not real(sim, time):
+            return False
+        heap = sim._heap
+        until = sim._until
+        if sim._now != time or sim._zero:
+            raise AssertionError(
+                "fused hop claimed the clock past pending zero-delay work")
+        if heap and heap[0][0] <= time:
+            raise AssertionError("fused hop would reorder pending events")
+        if until is not None and time > until:
+            raise AssertionError("fused hop crossed the run deadline")
+        stats["claims"] += 1
+        return True
+
+    with mock.patch.object(Simulator, "try_advance", try_advance):
+        yield stats
+
+
+@contextlib.contextmanager
+def checked_validation():
+    """Context manager: every ``full_validate`` the controller performs
+    inside it is compared with :func:`brute_force_validate`.
+
+    Yields a dict counting the validations that took the incremental path
+    (a cached pass against the same directory).
+    """
+    real = controller_mod.full_validate
+    stats = {"incremental": 0}
+
+    def full_validate(template_set, directory):
+        cache = template_set.validation_cache
+        incremental = cache is not None and cache[0] == directory.token
+        violations = real(template_set, directory)
+        reference = brute_force_validate(template_set, directory)
+        if violations != reference:
+            raise AssertionError(
+                f"incremental validation diverged for template "
+                f"{template_set.key}: incremental={violations} "
+                f"brute-force={reference}")
+        stats["incremental"] += incremental
+        return violations
+
+    with mock.patch.object(controller_mod, "full_validate", full_validate):
+        yield stats

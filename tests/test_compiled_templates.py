@@ -11,7 +11,6 @@ everything observable: the full metrics counter snapshot, virtual end
 time, events run, and the final value of every data object.
 """
 
-import contextlib
 import itertools
 
 import pytest
@@ -24,12 +23,16 @@ from repro.nimbus import protocol as P
 from .helpers import (
     assert_identical as _assert_identical,
     cluster_observables,
+    combine_program,
     combine_registry,
-    random_combine_schedule,
-    simple_define,
     worker_values,
 )
-from .oracle import InterpretedWorker, interpreted_workers
+from .oracle import (
+    CrossCheckedWorker,
+    InterpretedWorker,
+    cross_checked_workers,
+    interpreted_workers,
+)
 
 NUM_OBJECTS = 8
 OIDS = list(range(1, NUM_OBJECTS + 1))
@@ -43,51 +46,34 @@ VARIANTS = [("centralized", True)] + [(mode, False) for mode in MODES]
 def _finish(build, oracle):
     """Build a cluster and run it to completion, on the oracle if asked.
 
-    Checks the run really took the path it claims: every worker of an
-    oracle run is an :class:`InterpretedWorker` and compiles no plan.
+    Compiled runs replay on :class:`CrossCheckedWorker`, which re-derives
+    every instantiation field by field. Checks the run really took the
+    path it claims: every worker of an oracle run is an
+    :class:`InterpretedWorker` and compiles no plan.
     """
-    with interpreted_workers() if oracle else contextlib.nullcontext():
+    with interpreted_workers() if oracle else cross_checked_workers():
         cluster = build()
         cluster.run_until_finished(max_seconds=1e6)
     workers = cluster.workers.values()
     assert all(isinstance(w, InterpretedWorker) == oracle for w in workers)
     if oracle:
         assert sum(w.plans_compiled for w in workers) == 0
+    else:
+        assert all(isinstance(w, CrossCheckedWorker) for w in workers)
     return cluster
 
 
 def _run(seed, oracle, mode="centralized", blocking=True,
          chaos_profile=None, num_workers=3):
-    """One randomized combine program to completion.
-
-    Blocking programs wait for every block, round-robin over the blocks.
-    Posted programs queue each block's instances back to back, so the
-    self-scheduling modes coalesce them into windows.
-    """
-    seed_block, params, blocks, iterations = random_combine_schedule(
-        seed, OIDS)
-
-    def program(job):
-        yield job.define(simple_define(
-            {oid: (f"o{oid}", 8) for oid in OIDS}))
-        yield job.run(seed_block, params)
-        if blocking:
-            for _ in range(iterations):
-                for block in blocks:
-                    yield job.run(block)
-            return
-        for _ in range(2):
-            for block in blocks:
-                for _ in range(iterations + 3):  # past the install warm-up
-                    job.post(block)
-        yield job.drain()
-
+    """One randomized combine program (:func:`combine_program`) to
+    completion."""
     kwargs = {}
     if chaos_profile is not None:
         kwargs["chaos_plan"] = FaultPlan.from_profile(chaos_profile,
                                                       seed=seed)
     cluster = _finish(
-        lambda: NimbusCluster(num_workers, program,
+        lambda: NimbusCluster(num_workers,
+                              combine_program(seed, OIDS, blocking),
                               registry=combine_registry(), mode=mode,
                               **kwargs),
         oracle)
@@ -125,14 +111,18 @@ def test_compiled_matches_interpreted_under_chaos(seed, profile, mode,
     )
 
 
-def test_cross_check_mode_validates_every_instantiation(monkeypatch):
-    """REPRO_COMPILED_CROSS_CHECK re-derives each instantiation through
-    ``instantiate_entries`` and compares; a clean run means they agreed."""
-    monkeypatch.setenv("REPRO_COMPILED_CROSS_CHECK", "1")
+def test_cross_checked_worker_checks_every_instantiation():
+    """Every compiled run in these sweeps replays on
+    :class:`CrossCheckedWorker`, which checks each template instance and
+    patch it runs; prove the check really fires in every variant."""
     for mode, blocking in VARIANTS:
-        _assert_identical(_run(7, False, mode, blocking),
-                          _run(7, True, mode, blocking),
-                          f"cross-check seed 7 mode {mode}")
+        cluster = _finish(
+            lambda: NimbusCluster(3, combine_program(9, OIDS, blocking),
+                                  registry=combine_registry(), mode=mode),
+            oracle=False)
+        checked = sum(w.instantiations_checked
+                      for w in cluster.workers.values())
+        assert checked > 0, f"mode {mode}: no instantiation was checked"
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +185,8 @@ def test_compiled_matches_interpreted_across_migration(seed, mode):
     compiled = _run_lr_with_migrations(False, mode, num_workers=4 + seed)
     oracle = _run_lr_with_migrations(True, mode, num_workers=4 + seed)
     assert compiled.metrics.count("edits_applied") > 0
+    assert sum(w.instantiations_checked
+               for w in compiled.workers.values()) > 0
     oids = [obj.oid for obj in compiled.controller.directory.objects()]
     _assert_identical(
         (compiled.metrics.counters_snapshot(), compiled.sim.now,

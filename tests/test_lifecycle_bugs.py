@@ -320,17 +320,14 @@ def test_release_mid_window_scrubs_parked_and_late_windows():
     w._on_release_job(P.ReleaseJob(5, []))
     assert not any(win.job_id == 5 for win in w._barrier_windows)
     assert not any(k[0] == 5 for k in w._grants)
-    assert not any(k[0] == 5 for k in w._deferred_windows)
 
     # a window that was already in flight when the release landed:
-    # pre-fix this raised KeyError on the scrubbed template (direct
-    # channel) or parked forever as a deferred window (shard relay)
+    # pre-fix this raised KeyError on the scrubbed template
     before = m.count("self_schedule.released_window_drops")
     w._on_self_schedule(P.SelfScheduleWindow(
         8, "iter", 0, 0, [(101, 0, 0, {})], job_id=5, reply_to="shard-0"))
     assert m.count("self_schedule.released_window_drops") == before + 1
     assert (5, 8) not in w._grants
-    assert not any(k[0] == 5 for k in w._deferred_windows)
 
 
 def test_job_registration_excludes_draining_workers():

@@ -22,6 +22,7 @@ from .helpers import (
     simple_define,
     worker_values,
 )
+from .oracle import checked_validation
 
 DATA = [1, 2, 3]
 OUT = [11, 12, 13]
@@ -119,23 +120,51 @@ def test_chaos_runs_match_fault_free_across_20_seeds():
     assert total_dups > 0
 
 
-def test_incremental_validation_cross_checked_across_20_chaos_seeds(
-        monkeypatch):
+def alternating_program(job):
+    """The iteration block alternating with templated follow-up blocks.
+
+    Each instantiation follows a different block, so auto-validation
+    never applies: every steady instance fully validates, and from the
+    second round on it revalidates a cached pass incrementally. Every
+    other round a ``peek`` block copies ``ACC`` to a worker that ``back``
+    reads it on, so ``back``'s violation set changes from round to round.
+    """
+    objects = {oid: (f"o{oid}", 8) for oid in DATA + OUT + [ACC]}
+    seed_block, iter_block = blocks()
+    back_block = BlockSpec("back", [StageSpec("back", [
+        LogicalTask("combine", read=(ACC, OUT[i]), write=(DATA[i],))
+        for i in range(len(DATA))
+    ])])
+    peek_block = BlockSpec("peek", [StageSpec("peek", [
+        LogicalTask("combine", read=(ACC, DATA[1]), write=(DATA[1],))
+    ])])
+    yield job.define(simple_define(objects))
+    yield job.run(seed_block, {"v": 2})
+    for i in range(2 * ITERATIONS):
+        yield job.run(iter_block)
+        if i % 2:
+            yield job.run(peek_block)
+        yield job.run(back_block)
+
+
+def test_incremental_validation_cross_checked_across_20_chaos_seeds():
     """Property: across 20 chaos seeds, every incremental ``full_validate``
     the controller performs agrees with the brute-force precondition scan.
 
-    ``CROSS_CHECK`` makes the validation layer itself raise on any
-    divergence, so simply completing the sweep is the assertion; the
-    counter check proves the cross-checked path actually ran.
+    The test-only oracle raises on any divergence, so simply completing
+    the sweep is the assertion; the counter proves every seed really took
+    the incremental branch.
     """
-    from repro.core import validation
-
-    monkeypatch.setattr(validation, "CROSS_CHECK", True)
-    for chaos_seed in range(20):
-        plan = FaultPlan.from_profile("lossy", seed=chaos_seed)
-        cluster = run_cluster(chaos_plan=plan)
-        assert cluster.metrics.count("full_validations") >= 1, \
-            f"chaos seed {chaos_seed} never exercised full validation"
+    with checked_validation() as stats:
+        for chaos_seed in range(20):
+            before = stats["incremental"]
+            plan = FaultPlan.from_profile("lossy", seed=chaos_seed)
+            cluster = NimbusCluster(3, alternating_program,
+                                    registry=combine_registry(),
+                                    chaos_plan=plan)
+            cluster.run_until_finished(max_seconds=1e5)
+            assert stats["incremental"] > before, \
+                f"chaos seed {chaos_seed} never validated incrementally"
 
 
 def test_chaos_plus_crash_sweep_matches_reference_across_20_seeds():

@@ -1,5 +1,7 @@
 """Unit tests for the worker: local readiness, copies, slots, halt."""
 
+from collections import namedtuple
+
 import pytest
 
 from repro.nimbus import protocol as P
@@ -14,6 +16,11 @@ from repro.sim.metrics import Metrics
 from repro.sim.network import Network
 
 
+#: one command completion, unpacked from a CommandCompleteBatch
+Completion = namedtuple(
+    "Completion", "worker_id cid block_seq duration value oid")
+
+
 class FakeController(Actor):
     def __init__(self, sim):
         super().__init__(sim, "controller")
@@ -21,12 +28,9 @@ class FakeController(Actor):
         self.instances = []
 
     def handle(self, msg):
-        if isinstance(msg, P.CommandComplete):
-            self.completions.append(msg)
-        elif isinstance(msg, P.CommandCompleteBatch):
-            for cid, seq, duration, value, oid in msg.items:
-                self.completions.append(P.CommandComplete(
-                    msg.worker_id, cid, seq, duration, value, oid))
+        if isinstance(msg, P.CommandCompleteBatch):
+            for item in msg.items:
+                self.completions.append(Completion(msg.worker_id, *item))
         elif isinstance(msg, P.InstanceComplete):
             self.instances.append(msg)
 
@@ -50,7 +54,7 @@ def build(num_workers=2, registry=None):
 
 
 def dispatch(worker, cmd, seq=1, report=False):
-    worker.deliver(P.DispatchCommand(cmd, seq, report))
+    worker.deliver(P.DispatchCommandBatch([(cmd, report)], seq))
 
 
 def stamp_registry():
