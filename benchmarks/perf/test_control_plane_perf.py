@@ -237,13 +237,39 @@ def test_scheduling_mode_crossover(report):
     iteration time and wall clock (min over interleaved reps) are
     strictly better. The sharded mode must collapse coordinator traffic
     below centralized everywhere and keep wall clock within 10% of
-    decentralized at 1000 workers (ISSUE gate)."""
+    decentralized at 1000 workers.
+
+    With the per-task grant, fill and fold work on the shards, the
+    sharded fig07 iteration time must also be no worse than
+    decentralized at every compared count and strictly better at 1000
+    workers, and at 1000 workers every sharded run must finish earlier
+    in virtual time. At 1000 workers the mean over the last 15 sorted
+    completions includes the install-staircase runs, which the
+    coordinator stamps late while it works through their completion
+    backlog; the self-scheduled runs are spaced alike in both modes, so
+    the mean moves with where the window lands against that backlog.
+    For fig07 the earlier window lowers it; fig08's completions
+    interleave the other way although its run finishes earlier, so
+    fig08's iteration time is reported, not gated (EXPERIMENTS.md)."""
     section = report["scheduling_modes"]
     largest = max(MODE_SCALES[SCALE])
     for workload, n, cent, dec, shd in _mode_pairs(section):
+        where = f"{workload}@{n}"
+        if workload == "fig07_lr":
+            assert shd["mean_iteration_time"] <= \
+                dec["mean_iteration_time"], (
+                    f"{where}: sharded iteration time "
+                    f"{shd['mean_iteration_time']} above decentralized "
+                    f"{dec['mean_iteration_time']}")
+            if n >= 1000:
+                assert shd["mean_iteration_time"] < \
+                    dec["mean_iteration_time"], \
+                    f"{where}: sharded iteration time not better"
+        if n >= 1000:
+            assert shd["virtual_seconds"] < dec["virtual_seconds"], \
+                f"{where}: sharded run does not finish earlier"
         if n != largest:
             continue
-        where = f"{workload}@{n}"
         assert dec["steady_controller_messages_per_task"] <= \
             cent["steady_controller_messages_per_task"] / 5.0, \
             f"{where}: <5x steady message reduction"

@@ -75,9 +75,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                     "scheduling mode: 'centralized' is the paper's "
                     "per-instance control plane; 'decentralized' grants "
                     "windows that workers self-schedule (DESIGN.md §14); "
-                    "'sharded' relays those windows through controller "
-                    "shards so the coordinator leaves the steady-state "
-                    "path (§16); nimbus only",
+                    "'sharded' has controller shards build those windows "
+                    "and fold their summaries so the coordinator leaves "
+                    "the steady-state path (§16); nimbus only",
                     "controller shard count for --mode sharded "
                     "(default: min(16, max(2, sqrt(workers))))")
     parser.add_argument("--chaos-profile", choices=sorted(PROFILES),

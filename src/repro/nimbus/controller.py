@@ -174,14 +174,14 @@ class Controller(P.ReliableEndpoint, Actor):
         #: planning). Maintained by scale.ResourceController.
         self.draining_workers: Set[int] = set()
         #: reverse causal barrier for sharded fan-in: highest reliable
-        #: sequence handled per sender (actor name). A shard-relayed
-        #: WindowSummary carries the worker→coordinator sequence it must
-        #: not overtake (``ctrl_seq``); summaries arriving early park in
-        #: ``_barrier_summaries`` until the worker's direct stream
-        #: catches up — otherwise a window's blocks could complete at
-        #: the driver before an earlier centrally-dispatched block.
+        #: sequence handled per sender (actor name). A shard's folded
+        #: summary carries, per worker, the worker→coordinator sequence
+        #: it must not overtake (``ctrl_seq``); folds arriving early park
+        #: in ``_barrier_summaries`` until every folded worker's direct
+        #: stream catches up — otherwise a window's blocks could complete
+        #: at the driver before an earlier centrally-dispatched block.
         self._handled_seq: Dict[str, int] = {}
-        self._barrier_summaries: List[Tuple[int, P.WindowSummary]] = []
+        self._barrier_summaries: List[P.ShardWindowSummary] = []
 
         # per-job state: job 0 is the legacy single-driver job, sharing the
         # controller's metrics object (the bit-identity seam — every
@@ -330,8 +330,8 @@ class Controller(P.ReliableEndpoint, Actor):
         if ctx is None:
             return
         self._dispatch_queue.drop_job(job_id)
-        self._barrier_summaries = [(j, s) for j, s in self._barrier_summaries
-                                   if j != job_id]
+        self._barrier_summaries = [s for s in self._barrier_summaries
+                                   if s.job_id != job_id]
         for seq in [s for s, run in self.runs.items() if run.ctx is ctx]:
             del self.runs[seq]
         per_worker: Dict[int, List[int]] = {}
@@ -427,8 +427,7 @@ class Controller(P.ReliableEndpoint, Actor):
             # into a namespace that no longer exists
             ctx = self._ctx_of(msg)
             if ctx is not None:
-                for summary in msg.summaries:
-                    self._fold_or_park_summary(msg.job_id, summary)
+                self._fold_or_park_summary(ctx, msg)
         elif isinstance(msg, P.DefineObjects):
             ctx = self._ctx_of(msg)
             if ctx is not None:
@@ -454,41 +453,39 @@ class Controller(P.ReliableEndpoint, Actor):
             # parked shard-relayed summary was stamped against
             self._replay_barrier_summaries()
 
-    def _fold_or_park_summary(self, job_id: int,
-                              summary: P.WindowSummary) -> None:
-        """Fold a shard-relayed per-worker summary, or park it until the
-        worker's direct stream catches up to ``ctrl_seq`` (the reverse
+    def _fold_or_park_summary(self, ctx: JobContext,
+                              msg: P.ShardWindowSummary) -> None:
+        """Consume a shard's folded summary, or park it until every folded
+        worker's direct stream catches up to its ``ctrl_seq`` (the reverse
         causal barrier — see ``_barrier_summaries``)."""
-        worker = self.workers.get(summary.worker_id)
-        if (worker is not None
-                and summary.ctrl_seq > self._handled_seq.get(worker.name, 0)):
-            self._barrier_summaries.append((job_id, summary))
+        if not self._summary_barrier_met(msg):
+            self._barrier_summaries.append(msg)
             self.metrics.incr("self_schedule.summary_barrier_deferrals")
             return
-        ctx = self.jobs.get(job_id)
-        if ctx is not None:
-            ctx.policy.on_window_summary(summary)
+        ctx.policy.on_shard_summary(msg)
 
-    def _summary_barrier_met(self, summary: P.WindowSummary) -> bool:
-        worker = self.workers.get(summary.worker_id)
-        if worker is None or summary.worker_id in self._failed_workers:
-            # the direct stream will never catch up; release the summary
-            # and let the policy's stale-window guards judge it
-            return True
-        return summary.ctrl_seq <= self._handled_seq.get(worker.name, 0)
+    def _summary_barrier_met(self, msg: P.ShardWindowSummary) -> bool:
+        for worker_id, ctrl_seq, _stalled, _next in msg.fold.workers:
+            worker = self.workers.get(worker_id)
+            # a missing or failed worker's direct stream will never catch
+            # up; release the fold and let the policy's stale-window
+            # guards judge it
+            if (worker is not None and worker_id not in self._failed_workers
+                    and ctrl_seq > self._handled_seq.get(worker.name, 0)):
+                return False
+        return True
 
     def _replay_barrier_summaries(self) -> None:
-        ready = [(j, s) for j, s in self._barrier_summaries
+        ready = [s for s in self._barrier_summaries
                  if self._summary_barrier_met(s)]
         if not ready:
             return
-        self._barrier_summaries = [
-            (j, s) for j, s in self._barrier_summaries
-            if not self._summary_barrier_met(s)]
-        for job_id, summary in ready:
-            ctx = self.jobs.get(job_id)
+        self._barrier_summaries = [s for s in self._barrier_summaries
+                                   if not self._summary_barrier_met(s)]
+        for msg in ready:
+            ctx = self.jobs.get(msg.job_id)
             if ctx is not None:  # released while parked: drop whole
-                ctx.policy.on_window_summary(summary)
+                ctx.policy.on_shard_summary(msg)
 
     # ------------------------------------------------------------------
     # Object definition

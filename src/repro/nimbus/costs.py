@@ -43,6 +43,9 @@ class CostModel:
     #: Filling task ids/parameters into a controller template, per task.
     instantiate_controller_template_per_task: float = 0.2e-6
     #: Worker-template instantiation when auto-validation applies, per task.
+    #: Charged per instance by the centralized controller, once per
+    #: self-schedule window by the decentralized controller, and by each
+    #: shard for its own workers' tasks in sharded mode.
     instantiate_worker_template_auto_per_task: float = 1.7e-6
     #: Worker-template instantiation with a full validation pass, per task.
     instantiate_worker_template_validate_per_task: float = 7.3e-6
@@ -84,7 +87,10 @@ class CostModel:
     #: Controller cost to extend a self-schedule grant by one task: id
     #: allocation and parameter-slot capture, without the per-instance
     #: validation pass (the window validates once). Matches the
-    #: controller-template fill rate of Table 2.
+    #: controller-template fill rate of Table 2. Charged per granted
+    #: instance by the decentralized controller; in sharded mode each
+    #: shard charges it for its own workers' tasks, and the coordinator
+    #: pays ``message_handling`` per shard window instead.
     self_schedule_grant_per_task: float = 0.2e-6
     #: Worker control-thread cost to self-advance to the next template
     #: instance of a grant (the local scheduling decision that replaces a
@@ -93,8 +99,12 @@ class CostModel:
 
     # -- controller-side misc ------------------------------------------------
     #: Controller cost to process one per-task completion ack (central mode).
+    #: Also the per-row fold of a ``WindowSummary``: charged by the
+    #: decentralized controller, and by the receiving shard in sharded mode.
     controller_completion_per_task: float = 2e-6
-    #: Controller cost to process a per-block completion message.
+    #: Controller cost to process a per-block completion message: per
+    #: ``WindowSummary`` where it is folded (decentralized controller or
+    #: shard), and per ``ShardWindowSummary`` on the sharded coordinator.
     controller_block_completion: float = 20e-6
     #: Fixed cost of handling any driver/worker message.
     message_handling: float = 5e-6

@@ -27,8 +27,8 @@ Three pieces make that hold:
 Each job also carries its own scheduling mode (``mode=`` on submit,
 defaulting to the cluster's): centralized per-instance dispatch,
 decentralized self-scheduled windows (DESIGN.md §14), or sharded —
-windows relayed through controller shards so the coordinator stays off
-the steady-state path entirely (§16). Tenants of different modes
+windows built and folded by controller shards so the coordinator stays
+off the steady-state path entirely (§16). Tenants of different modes
 co-schedule freely; admission, placement, and release go through the
 coordinator regardless of mode.
 """

@@ -291,6 +291,28 @@ class SelfScheduleWindow(Message):
         self.barrier_seq = barrier_seq
         self.size_bytes = PARAM_BLOCK_BYTES * max(1, len(instances))
 
+    @classmethod
+    def for_worker(cls, window_id: int, block_id: str, version: int,
+                   epoch: int, instances, offset: int, entries: int,
+                   job_id: int = 0, edits=None, reply_to=None,
+                   barrier_seq: int = 0) -> "SelfScheduleWindow":
+        """One worker's schedule, cut from a window's shared instance list.
+
+        Each shared instance ``(instance_id, cid_base, block_seq, params)``
+        owns one contiguous command-id range; this worker's ``entries``
+        ids start ``offset`` into it. The wire size is the sum of the
+        per-instance ``InstantiateWorkerTemplate`` messages the window
+        replaces.
+        """
+        out = cls(window_id, block_id, version, epoch,
+                  [(instance_id, cid_base + offset, block_seq, params)
+                   for instance_id, cid_base, block_seq, params in instances],
+                  job_id=job_id, edits=edits, reply_to=reply_to,
+                  barrier_seq=barrier_seq)
+        out.size_bytes = ((TASK_ID_BYTES * entries + PARAM_BLOCK_BYTES)
+                          * max(1, len(instances)))
+        return out
+
 
 class EpochUpdate(Message):
     """Broadcast a new partition-map epoch (decentralized mode).
@@ -441,37 +463,104 @@ class WindowSummary(Message):
 class ShardWindow(Message):
     """One shard's slice of a self-schedule window (coordinator → shard).
 
-    ``grants`` is ``[(worker_id, SelfScheduleWindow)]`` for exactly the
-    workers this shard owns. The shard relays each inner window to its
-    worker on its own control thread — the coordinator pays one message
-    per *shard* instead of one per worker, which is the entire point of
-    the mode.
+    The window's instance list ``[(instance_id, cid_base, block_seq,
+    params)]`` travels once, with one contiguous command-id range per
+    instance. ``workers`` is ``[(worker_id, offset, entries, tasks,
+    barrier_seq, edits)]`` for exactly the workers this shard owns:
+    ``offset`` is the worker's prefix sum of entry counts in the worker
+    template set's worker order, so ``cid_base + offset`` is the id base
+    the coordinator would have allocated that worker, and ``tasks`` is
+    the worker's share of the block's tasks, which the shard's grant and
+    fill charges scale with. The shard builds each worker's
+    :class:`SelfScheduleWindow` on its own control thread.
     """
 
-    def __init__(self, window_id: int, grants, job_id: int = 0):
+    def __init__(self, window_id: int, block_id: str, version: int,
+                 epoch: int, instances, workers, job_id: int = 0):
         self.window_id = window_id
-        self.grants = grants
+        self.block_id = block_id
+        self.version = version
+        self.epoch = epoch
+        self.instances = instances
+        self.workers = workers
         self.job_id = job_id
-        self.size_bytes = 32 + sum(win.size_bytes for _w, win in grants)
+        self.size_bytes = (32 + (16 + PARAM_BLOCK_BYTES) * len(instances)
+                           + 24 * len(workers))
+
+
+class RunFold:
+    """One block run's share of a :class:`WindowFold`."""
+
+    __slots__ = ("end", "compute", "task_times", "values")
+
+    def __init__(self) -> None:
+        #: latest worker-local finish time among the folded rows
+        self.end = 0.0
+        #: worker -> compute seconds it reported for this run (a worker
+        #: runs an instance once, so one row per worker)
+        self.compute: Dict[int, float] = {}
+        #: worker -> per-task durations (rebalancer input, may be None)
+        self.task_times: Dict[int, Any] = {}
+        #: returned object id -> value
+        self.values: Dict[int, Any] = {}
+
+
+class WindowFold:
+    """``WindowSummary`` rows folded into one aggregate per block run.
+
+    A shard folds its workers' summaries into one of these and the
+    coordinator consumes it as-is; the decentralized coordinator folds
+    each direct summary the same way. ``workers`` keeps one
+    ``(worker_id, ctrl_seq, stalled, next_index)`` entry per folded
+    summary, in arrival order: window progress and the reverse causal
+    barrier stay per worker.
+    """
+
+    __slots__ = ("workers", "runs")
+
+    def __init__(self) -> None:
+        self.workers: List[Tuple[int, int, bool, int]] = []
+        #: block_seq -> RunFold, in first-row order
+        self.runs: Dict[int, RunFold] = {}
+
+    def add(self, summary: "WindowSummary") -> None:
+        worker = summary.worker_id
+        self.workers.append((worker, summary.ctrl_seq, summary.stalled,
+                             summary.next_index))
+        runs = self.runs
+        for (_instance_id, block_seq, compute_time, values, task_times,
+             finished_at) in summary.rows:
+            fold = runs.get(block_seq)
+            if fold is None:
+                fold = runs[block_seq] = RunFold()
+            if finished_at > fold.end:
+                fold.end = finished_at
+            fold.compute[worker] = compute_time
+            fold.task_times[worker] = task_times
+            fold.values.update(values)
+
+    def size_bytes(self) -> int:
+        return 16 * len(self.workers) + sum(
+            24 + 16 * len(run.compute) + 32 * len(run.values)
+            for run in self.runs.values())
 
 
 class ShardWindowSummary(Message):
-    """Aggregated window progress for one shard (shard → coordinator).
+    """One shard's folded window progress (shard → coordinator).
 
-    ``summaries`` carries the raw per-worker :class:`WindowSummary`
-    messages the shard collected; the coordinator folds them exactly as
-    it would have folded the direct stream. A stalled summary is
-    forwarded immediately (alone) so the re-grant is not delayed behind
-    the shard's other workers.
+    ``fold`` aggregates the shard's workers' ``WindowSummary`` rows per
+    block run; the coordinator consumes it without touching a row. A
+    stalled summary is folded and forwarded immediately (alone) so the
+    re-grant is not delayed behind the shard's other workers.
     """
 
-    def __init__(self, shard_id: int, window_id: int, summaries,
+    def __init__(self, shard_id: int, window_id: int, fold: WindowFold,
                  job_id: int = 0):
         self.shard_id = shard_id
         self.window_id = window_id
-        self.summaries = summaries
+        self.fold = fold
         self.job_id = job_id
-        self.size_bytes = 32 + sum(s.size_bytes for s in summaries)
+        self.size_bytes = 32 + fold.size_bytes()
 
 
 class ShardRegrant(Message):

@@ -1,26 +1,28 @@
-"""Controller shards: the sharded control plane's fan-out tier (§16).
+"""Controller shards: the sharded control plane's per-task tier (§16).
 
 A :class:`ControllerShard` owns a fixed slice of the worker set
-(``worker_id % num_shards``) and, with it, the steady-state dispatch
-traffic for those workers: the coordinator ships one
-:class:`~repro.nimbus.protocol.ShardWindow` per shard per self-schedule
-window, the shard relays the per-worker grants on its own control
-thread, collects the workers' ``WindowSummary`` replies, and returns one
-aggregated :class:`~repro.nimbus.protocol.ShardWindowSummary`. The
-coordinator's message count per window collapses from O(workers) to
-O(shards) while every byte that reaches a worker — and therefore every
-computed value — is identical to decentralized mode.
+(``worker_id % num_shards``) and that slice's O(tasks) steady-state
+control work. Per self-schedule window the coordinator ships one
+:class:`~repro.nimbus.protocol.ShardWindow` per shard: the window's
+instance list, each with one contiguous command-id range, plus every
+owned worker's id offset. The shard builds each worker's
+``SelfScheduleWindow`` (``cid_base + offset``, the ids a per-worker
+allocation would have handed out) and charges the grant and fill rates
+for that worker's tasks. On the way back it charges and folds its
+workers' ``WindowSummary`` rows into one
+:class:`~repro.nimbus.protocol.WindowFold` per message, which the
+coordinator consumes without touching a row.
 
-Shards are deliberately dumb: no id allocation, no directory writes, no
-epoch ownership. All of that stays on the coordinator (DESIGN.md §16
-explains why bit-identity forces this split), which is also what lets a
-shard vanish from the protocol entirely when no sharded job is running —
-shards with no traffic schedule no events.
+Every *decision* stays on the coordinator: validation, the directory
+delta, run/instance/id-range allocation, ``pm_epoch``, re-grants and
+aborts (DESIGN.md §16 explains why bit-identity forces this split).
+Shards with no traffic schedule no events, so a shard vanishes from the
+protocol when no sharded job is running.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..sim.actor import Actor
 from ..sim.metrics import Metrics
@@ -31,11 +33,11 @@ from . import protocol as P
 class _ShardWindowState:
     """One window's fan-in bookkeeping on one shard."""
 
-    __slots__ = ("expected", "summaries")
+    __slots__ = ("expected", "fold")
 
     def __init__(self) -> None:
         self.expected: Set[int] = set()
-        self.summaries: List[P.WindowSummary] = []
+        self.fold = P.WindowFold()
 
 
 class ControllerShard(P.ReliableEndpoint, Actor):
@@ -75,46 +77,60 @@ class ControllerShard(P.ReliableEndpoint, Actor):
 
     # ------------------------------------------------------------------
     def _on_window(self, msg: P.ShardWindow) -> None:
-        """Relay one window slice to this shard's workers.
+        """Build and send this shard's workers' windows.
 
-        The per-worker dispatch work is charged on *this* shard's control
-        thread — N shards fan out in parallel where the decentralized
-        coordinator serialized the whole loop.
+        Each worker's window is the shared instance list with the
+        worker's id offset applied. The worker-template fill and the
+        per-instance grant work for the worker's tasks are charged here,
+        worker by worker, so each window departs as soon as its own slice
+        is paid for — N shards fill in parallel where the decentralized
+        coordinator serialized the whole window.
         """
         state = _ShardWindowState()
         self._windows[(msg.job_id, msg.window_id)] = state
+        costs = self.costs
         workers = self.controller.workers
-        for worker_id, window in msg.grants:
-            self.charge(self.costs.self_schedule_grant_per_task
-                        * len(window.instances))
+        for worker_id, offset, entries, tasks, barrier_seq, edits in (
+                msg.workers):
+            self.charge(costs.instantiate_worker_template_auto_per_task
+                        * tasks)
+            self.charge(costs.self_schedule_grant_per_task * tasks
+                        * len(msg.instances))
             state.expected.add(worker_id)
+            window = P.SelfScheduleWindow.for_worker(
+                msg.window_id, msg.block_id, msg.version, msg.epoch,
+                msg.instances, offset, entries, job_id=msg.job_id,
+                edits=edits, reply_to=self.name, barrier_seq=barrier_seq)
             self.send_reliable(workers[worker_id], window)
         self.windows_relayed += 1
 
     def _on_regrant(self, msg: P.ShardRegrant) -> None:
         """Relay a stalled worker's re-granted remainder.
 
-        The worker stayed in ``expected`` when its stalled summary was
-        forwarded, so no fan-in state changes here. A missing window
-        means the job was released (or the window aborted) between stall
-        and re-grant — drop it; the worker never sees the grant and the
-        coordinator's abort already cleaned up.
+        The coordinator built the remainder (its ids were paid for at
+        grant time), so relaying costs one message handling. The worker
+        stayed in ``expected`` when its stalled summary was forwarded, so
+        no fan-in state changes here. A missing window means the job was
+        released (or the window aborted) between stall and re-grant —
+        drop it; the worker never sees the grant and the coordinator's
+        abort already cleaned up.
         """
         window = msg.window
         state = self._windows.get((msg.job_id, window.window_id))
         if state is None or msg.worker_id not in state.expected:
             self.metrics.incr("shard.orphan_regrants")
             return
-        self.charge(self.costs.self_schedule_grant_per_task
-                    * len(window.instances))
+        self.charge(self.costs.message_handling)
         self.send_reliable(self.controller.workers[msg.worker_id], window)
 
     def _on_summary(self, msg: P.WindowSummary) -> None:
-        """Fold one worker's summary into the window's fan-in.
+        """Fold one worker's summary into the window's aggregate.
 
-        Stalled summaries are forwarded to the coordinator immediately
-        (the re-grant must not wait for the shard's other workers) and
-        the worker stays expected. Completed summaries buffer until the
+        The shard pays what the decentralized coordinator pays per direct
+        summary: one coarse completion plus one fold per row. Stalled
+        summaries are folded alone and forwarded immediately (the
+        re-grant must not wait for the shard's other workers) and the
+        worker stays expected. Completed summaries accumulate until the
         shard's whole slice has reported, then travel as one message.
         """
         key = (msg.job_id, msg.window_id)
@@ -122,21 +138,22 @@ class ControllerShard(P.ReliableEndpoint, Actor):
         if state is None or msg.worker_id not in state.expected:
             self.metrics.incr("shard.orphan_summaries")
             return
-        # intra-shard completion handling: the per-row fold work lands
-        # here, never on the coordinator
-        self.charge(self.costs.controller_completion_per_task
-                    * max(1, len(msg.rows)))
+        self.charge(self.costs.controller_block_completion)
+        for _row in msg.rows:
+            self.charge(self.costs.controller_completion_per_task)
         self.summaries_folded += 1
         if msg.stalled:
+            fold = P.WindowFold()
+            fold.add(msg)
             self.send_reliable(self.controller, P.ShardWindowSummary(
-                self.shard_id, msg.window_id, [msg], job_id=msg.job_id))
+                self.shard_id, msg.window_id, fold, job_id=msg.job_id))
             return
         state.expected.discard(msg.worker_id)
-        state.summaries.append(msg)
+        state.fold.add(msg)
         if not state.expected:
             del self._windows[key]
             self.send_reliable(self.controller, P.ShardWindowSummary(
-                self.shard_id, msg.window_id, state.summaries,
+                self.shard_id, msg.window_id, state.fold,
                 job_id=msg.job_id))
 
     def _on_abort(self, msg: P.ShardAbort) -> None:

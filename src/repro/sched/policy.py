@@ -13,8 +13,9 @@ item 2 names, extending the rebalancer's pluggable-policy pattern):
 * :class:`DecentralizedPolicy` — Canary-style self-scheduling
   (DESIGN.md §14). The driver submits *windows* of iterations; once a
   window entry reaches the installed/auto-validating steady state the
-  controller validates the window once, allocates every instance's ids
-  up front, and grants each worker the full schedule in one
+  controller validates the window once, allocates one contiguous id
+  range per instance up front, and grants each worker the full
+  schedule, cut from those ranges at the worker's offset, in one
   ``SelfScheduleWindow``. Workers advance instance to instance locally
   and report one ``WindowSummary`` back. The controller retains
   exclusive ownership of partition-map changes: windows are granted one
@@ -23,10 +24,13 @@ item 2 names, extending the rebalancer's pluggable-policy pattern):
   block boundary (the worker-side barrier).
 
 * :class:`ShardedPolicy` — the sharded control plane (DESIGN.md §16).
-  Same decisions as decentralized, but the window fan-out/fan-in is
-  relayed through per-worker-range controller shards: the coordinator
-  pays O(shards) messages per window instead of O(workers), which is
-  what lets partition-map-owning control scale past one node.
+  Same decisions as decentralized, but the per-task work moves to
+  controller shards, each owning a ``worker % num_shards`` slice: a
+  shard builds its workers' windows from the coordinator's shared
+  instance list and id offsets, pays the grant and fill rates for them,
+  and folds their summaries into one aggregate per run. The coordinator
+  pays O(shards) messages *and* work per window instead of O(tasks),
+  which is what lets partition-map-owning control scale past one node.
 
 Entries that do not auto-validate — the install staircase, blocks
 needing full validation or patches — fall back to the centralized
@@ -39,6 +43,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..nimbus import protocol as P
+from ..nimbus.commands import CommandKind
 
 
 class SchedulingPolicy:
@@ -59,6 +64,9 @@ class SchedulingPolicy:
         raise NotImplementedError
 
     def on_window_summary(self, msg: P.WindowSummary) -> None:
+        raise NotImplementedError
+
+    def on_shard_summary(self, msg: P.ShardWindowSummary) -> None:
         raise NotImplementedError
 
     def submit_central(self, block, params, template_start: bool,
@@ -110,23 +118,36 @@ class CentralizedPolicy(SchedulingPolicy):
 class _WindowGrant:
     """Controller-side state of one granted self-schedule window."""
 
-    __slots__ = ("window_id", "block_id", "version", "seqs", "per_worker",
-                 "expected", "progress", "ends")
+    __slots__ = ("window_id", "block_id", "version", "instances", "offsets",
+                 "id_span", "expected", "progress", "ends")
 
-    def __init__(self, window_id: int, block_id: str, version: int):
+    def __init__(self, window_id: int, block_id: str, version: int, wts):
         self.window_id = window_id
         self.block_id = block_id
         self.version = version
-        #: run seqs of the window's instances, in grant order
-        self.seqs: List[int] = []
-        #: worker -> [(instance_id, cid_base, block_seq, params)], the
-        #: full per-worker schedule (kept for epoch-stall re-grants)
-        self.per_worker: Dict[int, List[Tuple]] = {}
+        #: [(instance_id, cid_base, block_seq, params)] in grant order; each
+        #: instance owns one contiguous command-id range of ``id_span`` ids
+        self.instances: List[Tuple] = []
+        #: worker -> offset of its ids in every instance's range: the
+        #: prefix sum of entry counts in ``wts.workers()`` order, so
+        #: ``cid_base + offset`` is exactly the id base a per-worker
+        #: allocation (instance-major, worker-minor) would have handed out
+        self.offsets: Dict[int, int] = {}
+        span = 0
+        for worker in wts.workers():
+            self.offsets[worker] = span
+            span += len(wts.entries[worker])
+        self.id_span = span
         self.expected: Set[int] = set()
         #: worker -> instances already started there (re-grant offset)
         self.progress: Dict[int, int] = {}
         #: seq -> latest worker-local finish time (the block's honest end)
         self.ends: Dict[int, float] = {}
+
+    def seqs(self) -> List[int]:
+        """Run seqs of the window's instances, in grant order."""
+        return [seq for _instance_id, _cid_base, seq, _params
+                in self.instances]
 
 
 class DecentralizedPolicy(SchedulingPolicy):
@@ -139,6 +160,10 @@ class DecentralizedPolicy(SchedulingPolicy):
     """
 
     mode = "decentralized"
+    #: whether the coordinator itself pays the per-task grant and fill
+    #: rates; the sharded policy leaves both to the shards that build the
+    #: per-worker windows
+    charges_grants = True
 
     def __init__(self, controller, ctx):
         super().__init__(controller, ctx)
@@ -224,23 +249,25 @@ class DecentralizedPolicy(SchedulingPolicy):
                 # one validation covers the whole window: the grant is
                 # the controller's *last* per-instance decision
                 c._install_worker_halves(ctx, wts)
-                c.charge(
-                    c.costs.instantiate_worker_template_auto_per_task * n)
+                if self.charges_grants:
+                    c.charge(
+                        c.costs.instantiate_worker_template_auto_per_task * n)
                 ctx.metrics.incr("auto_validations")
                 grant = _WindowGrant(c._alloc_window_id(), msg.block_id,
-                                     wts.version)
-            # extend the grant by one instance, allocating ids exactly as
-            # a centralized instantiation would (instance-major,
-            # worker-minor — the id streams are bit-identical)
-            c.charge(c.costs.self_schedule_grant_per_task * n)
+                                     wts.version, wts)
+            # extend the grant by one instance: one contiguous id range,
+            # which the per-worker offsets cut exactly as a centralized
+            # instantiation allocates (instance-major, worker-minor — the
+            # id streams are bit-identical)
+            if self.charges_grants:
+                c.charge(c.costs.self_schedule_grant_per_task * n)
             run = c._new_run(ctx, msg.block_id, n, "self",
                              request_id=request_id)
             run.instance_id = c._next_instance
             c._next_instance += 1
-            for worker in wts.workers():
-                cid_base = c._alloc_cids(len(wts.entries[worker]))
-                grant.per_worker.setdefault(worker, []).append(
-                    (run.instance_id, cid_base, run.seq, params))
+            grant.instances.append((run.instance_id,
+                                    c._alloc_cids(grant.id_span), run.seq,
+                                    params))
             run.expected_workers = set(wts.workers())
             run.outstanding = len(run.expected_workers)
             for name, oid in wts.returns.items():
@@ -250,7 +277,6 @@ class DecentralizedPolicy(SchedulingPolicy):
             ctx.prev_block_key = wts.key
             ctx.metrics.incr("tasks_scheduled", n)
             ctx.metrics.incr("self_schedule_instances")
-            grant.seqs.append(run.seq)
             if c._trace is not None:
                 c._trace_decided(run)
         if grant is None:
@@ -260,29 +286,23 @@ class DecentralizedPolicy(SchedulingPolicy):
         self._dispatch_grant(grant, wts, edits_by_worker)
         self._grant = grant
 
-    def _build_window(self, grant: _WindowGrant, worker: int, instances,
-                      entries: int, edits=None) -> P.SelfScheduleWindow:
-        """One worker's granted schedule, with the honest wire size: the
-        sum of the per-instance InstantiateWorkerTemplate messages the
-        grant replaces."""
-        c = self.controller
-        out = P.SelfScheduleWindow(
+    def _build_window(self, grant: _WindowGrant, worker: int, entries: int,
+                      start: int = 0, edits=None) -> P.SelfScheduleWindow:
+        """One worker's granted schedule from instance ``start`` on."""
+        return P.SelfScheduleWindow.for_worker(
             grant.window_id, grant.block_id, grant.version,
-            c.pm_epoch, instances, job_id=self.ctx.job_id, edits=edits)
-        out.size_bytes = ((P.TASK_ID_BYTES * entries + P.PARAM_BLOCK_BYTES)
-                          * max(1, len(instances)))
-        return out
+            self.controller.pm_epoch, grant.instances[start:],
+            grant.offsets[worker], entries, job_id=self.ctx.job_id,
+            edits=edits)
 
     def _dispatch_grant(self, grant: _WindowGrant, wts,
                         edits_by_worker) -> None:
         """Ship the granted windows — one message straight to each
-        worker. The sharded policy overrides this single seam (and the
-        regrant/abort relays below) to route via shards instead."""
+        worker. The sharded policy overrides this seam (and the
+        regrant/abort relays below) so that shards build and send them."""
         c = self.controller
-        for worker in sorted(grant.per_worker):
-            instances = grant.per_worker[worker]
-            out = self._build_window(grant, worker, instances,
-                                     len(wts.entries[worker]),
+        for worker in sorted(grant.offsets):
+            out = self._build_window(grant, worker, len(wts.entries[worker]),
                                      edits=edits_by_worker.get(worker))
             c.send_reliable(c.workers[worker], out)
             grant.expected.add(worker)
@@ -290,47 +310,74 @@ class DecentralizedPolicy(SchedulingPolicy):
 
     # -- summaries ------------------------------------------------------
     def on_window_summary(self, msg: P.WindowSummary) -> None:
+        """Fold one worker's direct summary."""
         c = self.controller
-        ctx = self.ctx
-        grant = self._grant
-        if grant is None or grant.window_id != msg.window_id:
-            c.metrics.incr("self_schedule.orphan_summaries")
-            return
-        if msg.worker_id not in grant.expected:
-            # a summary from a worker already folded out of this window
-            # (finished, or reclaimed by drop_worker after its death) —
-            # refolding its rows would double-decrement run accounting
-            c.metrics.incr("self_schedule.orphan_summaries")
+        grant = self._live_grant(msg.window_id, (msg.worker_id,))
+        if grant is None:
             return
         # one coarse completion per summary plus the per-row folds — the
         # same rates the centralized completion path charges
         c.charge(c.costs.controller_block_completion)
-        for (instance_id, block_seq, compute_time, values, task_times,
-             finished_at) in msg.rows:
+        for _row in msg.rows:
             c.charge(c.costs.controller_completion_per_task)
-            run = c.runs.get(block_seq)
+        fold = P.WindowFold()
+        fold.add(msg)
+        self._apply_fold(grant, fold)
+
+    def on_shard_summary(self, msg: P.ShardWindowSummary) -> None:
+        """Consume a shard's folded summaries: the shard already paid the
+        per-summary and per-row fold, so the coordinator pays one coarse
+        completion per shard message."""
+        c = self.controller
+        grant = self._live_grant(
+            msg.window_id, [w for w, _s, _st, _n in msg.fold.workers])
+        if grant is None:
+            return
+        c.charge(c.costs.controller_block_completion)
+        self._apply_fold(grant, msg.fold)
+
+    def _live_grant(self, window_id: int, workers) -> Optional[_WindowGrant]:
+        """The outstanding grant a summary belongs to, or None (counted
+        as an orphan): a stale window, or a worker already folded out of
+        this one (finished, or reclaimed by drop_worker after its death)
+        — refolding its rows would double-decrement run accounting."""
+        grant = self._grant
+        if (grant is None or grant.window_id != window_id
+                or not grant.expected.issuperset(workers)):
+            self.controller.metrics.incr("self_schedule.orphan_summaries")
+            return None
+        return grant
+
+    def _apply_fold(self, grant: _WindowGrant, fold: P.WindowFold) -> None:
+        c = self.controller
+        ctx = self.ctx
+        rebalancer = c.rebalancer
+        for seq, part in fold.runs.items():
+            run = c.runs.get(seq)
             if run is None:
                 continue
-            run.outstanding -= 1
-            run.expected_workers.discard(msg.worker_id)
-            if finished_at > grant.ends.get(block_seq, 0.0):
-                grant.ends[block_seq] = finished_at
-            run.compute_by_worker[msg.worker_id] = (
-                run.compute_by_worker.get(msg.worker_id, 0.0) + compute_time)
-            if c.rebalancer is not None and msg.worker_id in c.live_workers:
-                c.rebalancer.observe_instance(
-                    ctx, grant.block_id, grant.version, msg.worker_id,
-                    compute_time, task_times)
-            for oid, value in values.items():
+            run.outstanding -= len(part.compute)
+            if part.end > grant.ends.get(seq, 0.0):
+                grant.ends[seq] = part.end
+            for worker, compute_time in part.compute.items():
+                run.expected_workers.discard(worker)
+                run.compute_by_worker[worker] = (
+                    run.compute_by_worker.get(worker, 0.0) + compute_time)
+                if rebalancer is not None and worker in c.live_workers:
+                    rebalancer.observe_instance(
+                        ctx, grant.block_id, grant.version, worker,
+                        compute_time, part.task_times[worker])
+            for oid, value in part.values.items():
                 if oid in run.return_cids:
                     name, _oid = run.return_cids[oid]
                     run.results[name] = value
-        grant.progress[msg.worker_id] = (
-            grant.progress.get(msg.worker_id, 0) + msg.next_index)
-        if msg.stalled:
-            self._regrant(msg.worker_id)
-            return
-        grant.expected.discard(msg.worker_id)
+        for worker, _ctrl_seq, stalled, next_index in fold.workers:
+            grant.progress[worker] = (
+                grant.progress.get(worker, 0) + next_index)
+            if stalled:
+                self._regrant(worker)
+            else:
+                grant.expected.discard(worker)
         if not grant.expected:
             self._finish_window(grant)
 
@@ -360,7 +407,7 @@ class DecentralizedPolicy(SchedulingPolicy):
             return
         c = self.controller
         reclaimed = 0
-        for seq in grant.seqs:
+        for seq in grant.seqs():
             run = c.runs.pop(seq, None)
             if run is None:
                 continue
@@ -381,10 +428,10 @@ class DecentralizedPolicy(SchedulingPolicy):
         data already exchanged for granted instances still tag-matches."""
         c = self.controller
         grant = self._grant
-        remaining = grant.per_worker[worker][grant.progress[worker]:]
         wts = self.ctx.worker_templates.get((grant.block_id, grant.version))
         entries = len(wts.entries[worker]) if wts is not None else 1
-        out = self._build_window(grant, worker, remaining, entries)
+        out = self._build_window(grant, worker, entries,
+                                 start=grant.progress[worker])
         self._deliver_regrant(worker, out)
         c.metrics.incr("self_schedule.regrants")
 
@@ -399,7 +446,7 @@ class DecentralizedPolicy(SchedulingPolicy):
         c = self.controller
         ctx = self.ctx
         items = []
-        for seq in grant.seqs:
+        for seq in grant.seqs():
             run = c.runs.pop(seq, None)
             if run is None:
                 continue
@@ -446,18 +493,20 @@ class DecentralizedPolicy(SchedulingPolicy):
 
 class ShardedPolicy(DecentralizedPolicy):
     """Sharded control plane (DESIGN.md §16): decentralized decisions,
-    relayed dispatch.
+    per-task control work on the shards.
 
-    Every *decision* — validation, id allocation, run bookkeeping,
-    summary folding — is inherited unchanged from
-    :class:`DecentralizedPolicy`, which is what makes computed values
-    bit-identical across all three modes by construction. What changes
-    is the *fan-out and fan-in path*: instead of one coordinator message
-    per worker per window, the per-worker grants pack into one
-    :class:`~repro.nimbus.protocol.ShardWindow` per controller shard;
-    shards relay to their workers in parallel and return one aggregated
-    :class:`~repro.nimbus.protocol.ShardWindowSummary` each. Coordinator
-    traffic per window drops from O(workers) to O(shards).
+    Every *decision* — the auto-validation verdict, the directory delta,
+    run/seq/instance allocation and one contiguous command-id range per
+    instance, ``pm_epoch``, regrants and aborts — is inherited unchanged
+    from :class:`DecentralizedPolicy`, which is what makes computed values
+    bit-identical across all three modes by construction. What moves is
+    the O(tasks) work: each :class:`~repro.nimbus.protocol.ShardWindow`
+    carries the window's instance list once plus every owned worker's id
+    offset, and the shard builds its workers' windows and pays the grant
+    and fill rates for its slice; the shard folds its workers' summaries
+    into one :class:`~repro.nimbus.protocol.WindowFold` per message. The
+    coordinator pays one message handling per shard window and one
+    coarse completion per shard summary: O(shards) per window.
 
     Workers reply to their owning shard (``SelfScheduleWindow.reply_to``),
     never the coordinator. Stalls are the exception that proves the
@@ -467,36 +516,41 @@ class ShardedPolicy(DecentralizedPolicy):
     """
 
     mode = "sharded"
+    charges_grants = False
 
-    def _build_window(self, grant, worker, instances, entries, edits=None):
-        out = super()._build_window(grant, worker, instances, entries,
+    def _build_window(self, grant, worker, entries, start=0, edits=None):
+        # only re-grants are built here; first grants are built by shards
+        out = super()._build_window(grant, worker, entries, start=start,
                                     edits=edits)
         c = self.controller
         out.reply_to = c.shards[c.shard_of(worker)].name
-        # causal barrier: the relayed window travels shard channels, so
-        # it could overtake the coordinator's own (possibly
-        # retransmitting) dispatch stream to this worker. Stamp the
-        # coordinator→worker sequence the worker must have handled
-        # before opening the window — restoring exactly the ordering the
-        # decentralized single channel gives for free.
         out.barrier_seq = c.channel_seq(c.workers[worker].name)
         return out
 
     def _dispatch_grant(self, grant, wts, edits_by_worker) -> None:
         c = self.controller
         per_shard: Dict[int, List] = {}
-        for worker in sorted(grant.per_worker):
-            instances = grant.per_worker[worker]
-            out = self._build_window(grant, worker, instances,
-                                     len(wts.entries[worker]),
-                                     edits=edits_by_worker.get(worker))
+        for worker in sorted(grant.offsets):
+            entries = wts.entries[worker]
+            tasks = sum(1 for e in entries
+                        if e is not None and e.kind == CommandKind.TASK)
+            # causal barrier: the relayed window travels shard channels,
+            # so it could overtake the coordinator's own (possibly
+            # retransmitting) dispatch stream to this worker. Stamp the
+            # coordinator→worker sequence the worker must have handled
+            # before opening the window — restoring exactly the ordering
+            # the decentralized single channel gives for free.
+            barrier_seq = c.channel_seq(c.workers[worker].name)
             per_shard.setdefault(c.shard_of(worker), []).append(
-                (worker, out))
+                (worker, grant.offsets[worker], len(entries), tasks,
+                 barrier_seq, edits_by_worker.get(worker)))
             grant.expected.add(worker)
             grant.progress[worker] = 0
         for shard_id in sorted(per_shard):
+            c.charge(c.costs.message_handling)
             c.send_reliable(c.shards[shard_id], P.ShardWindow(
-                grant.window_id, per_shard[shard_id],
+                grant.window_id, grant.block_id, grant.version, c.pm_epoch,
+                grant.instances, per_shard[shard_id],
                 job_id=self.ctx.job_id))
 
     def _deliver_regrant(self, worker: int, out: P.SelfScheduleWindow) -> None:

@@ -19,6 +19,14 @@ its answers the slow, obvious way:
 * :func:`checked_validation` compares every incremental template
   validation the controller performs with the brute-force scan.
 
+Two recorders observe what the runtime charges and grants, so tests can
+compare scheduling modes:
+
+* :func:`charge_spy` files every control-thread charge under its actor
+  and the cost-model rate it scales.
+* :func:`recorded_grants` records every self-schedule window a worker
+  opens.
+
 None of them changes what a run computes, so each can be installed in any
 sweep that compares virtual results.
 """
@@ -26,6 +34,8 @@ sweep that compares virtual results.
 from __future__ import annotations
 
 import contextlib
+from collections import defaultdict
+from dataclasses import fields
 from unittest import mock
 
 from repro.core.compiled import compile_plan
@@ -33,8 +43,11 @@ from repro.core.validation import brute_force_validate
 from repro.core.worker_template import instantiate_entries
 from repro.nimbus import cluster as cluster_mod
 from repro.nimbus import controller as controller_mod
+from repro.nimbus import worker as worker_mod
 from repro.nimbus.commands import CommandKind
+from repro.nimbus.costs import PAPER_COSTS, CostModel
 from repro.nimbus.worker import Worker, _InstanceRecord
+from repro.sim.actor import Actor
 from repro.sim.engine import Simulator
 
 
@@ -253,3 +266,83 @@ def checked_validation():
 
     with mock.patch.object(controller_mod, "full_validate", full_validate):
         yield stats
+
+
+class _Rate(float):
+    """A cost-model rate that keeps its field name through scaling."""
+
+    def __new__(cls, value, name):
+        rate = super().__new__(cls, value)
+        rate.name = name
+        return rate
+
+    def __mul__(self, other):
+        return _Rate(float(self) * other, self.name)
+
+    __rmul__ = __mul__
+
+
+@contextlib.contextmanager
+def charge_spy():
+    """Context manager: file every ``Actor.charge`` under its actor and rate.
+
+    Yields ``(costs, ledger)``. Build clusters with ``costs``: the paper
+    model with every time rate replaced by a float that remembers its
+    field name through multiplication, so virtual results are unchanged.
+    ``ledger[(actor_name, rate_name)]`` is ``[seconds, calls]``; a charge
+    not scaled from a rate is filed under ``None``. Charges accumulated
+    without ``Actor.charge`` (the central dispatch loop, worker
+    completions) are not seen.
+    """
+    costs = CostModel(**{
+        f.name: _Rate(getattr(PAPER_COSTS, f.name), f.name)
+        for f in fields(CostModel)
+        if isinstance(getattr(PAPER_COSTS, f.name), float)
+        and f.name != "storage_bandwidth"  # a divisor, not a charge
+    })
+    ledger = defaultdict(lambda: [0.0, 0])
+    real = Actor.charge
+
+    def charge(actor, seconds):
+        entry = ledger[(actor.name, getattr(seconds, "name", None))]
+        entry[0] += seconds
+        entry[1] += 1
+        real(actor, seconds)
+
+    with mock.patch.object(Actor, "charge", charge):
+        yield costs, ledger
+
+
+@contextlib.contextmanager
+def recorded_grants():
+    """Context manager: record every self-schedule window a worker opens.
+
+    Yields ``worker_id -> [(window_id, version, epoch, instances)]`` in
+    opening order, with ``instances`` the tuple of ``(instance_id,
+    cid_base, block_seq, params)`` the worker runs. A window is opened
+    when the worker creates its grant state; a window parked behind the
+    causal barrier counts once, when it is replayed, and a redelivery
+    never counts.
+    """
+    opened = defaultdict(list)
+    opening = []
+    real_open = Worker._on_self_schedule
+
+    class RecordedGrant(worker_mod._WorkerGrant):
+        def __init__(self, key, block_id, version, half, instances, epoch,
+                     **kwargs):
+            super().__init__(key, block_id, version, half, instances, epoch,
+                             **kwargs)
+            opened[opening[-1]].append(
+                (key[1], version, epoch, tuple(instances)))
+
+    def on_self_schedule(worker, msg):
+        opening.append(worker.worker_id)
+        try:
+            real_open(worker, msg)
+        finally:
+            opening.pop()
+
+    with mock.patch.object(worker_mod, "_WorkerGrant", RecordedGrant), \
+            mock.patch.object(Worker, "_on_self_schedule", on_self_schedule):
+        yield opened

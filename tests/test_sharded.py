@@ -1,12 +1,13 @@
 """Sharded control plane: three-mode parity and shard mechanics.
 
 The contract (DESIGN.md §16): ``mode="sharded"`` inherits every
-*decision* from the decentralized policy — validation, id allocation,
-summary folding — and changes only the fan-out/fan-in *path*: per-worker
-window grants pack into one ShardWindow per controller shard, shards
-relay to their workers and aggregate the WindowSummaries, and the
-coordinator's steady-state traffic per window collapses from O(workers)
-to O(shards). These sweeps pin that down as bit-identity of
+*decision* from the decentralized policy — validation, run and id-range
+allocation, epochs, re-grants — and moves the per-task work to the
+shards: one ShardWindow per controller shard carries the window's
+instances and its workers' id offsets, shards build and send their
+workers' windows and fold the WindowSummaries, and the coordinator's
+steady-state traffic and work per window collapse from O(workers) to
+O(shards). These sweeps pin that down as bit-identity of
 :func:`tests.helpers.computed_values` against both other modes, across
 seeds, chaos profiles, the rebalancer, the autoscaler, and mixed-mode
 co-scheduled tenants.
@@ -15,9 +16,15 @@ Also covered: the shard fan-in machinery itself (windows actually relay,
 orphan guards fire instead of folding into dead jobs), the two causal
 barriers that shard channels make necessary (a relayed window must not
 overtake the coordinator's direct dispatch stream, and a relayed summary
-must not overtake the worker's direct completions), and the coordinator
-message-collapse gate at fig07@100.
+must not overtake the worker's direct completions), the coordinator
+message-collapse gate at fig07@100, and the division of labour: the
+shards build every worker's window from the coordinator's id ranges
+(grant equality) and pay the per-task grant, fill and fold work the
+decentralized coordinator pays (charge conservation).
 """
+
+import math
+from unittest import mock
 
 import pytest
 
@@ -31,8 +38,10 @@ from repro.apps import (
 )
 from repro.chaos import PROFILES
 from repro.nimbus import NimbusCluster
+from repro.nimbus.costs import PAPER_COSTS
 
 from .helpers import computed_values, run_lr
+from .oracle import charge_spy, recorded_grants
 
 SEEDS = range(10)
 CHAOS_SEEDS = (3, 11)
@@ -301,12 +310,202 @@ def test_orphan_summary_guard_drops_aggregates_for_released_jobs():
     cluster = run_lr(iterations=8, mode="sharded")
     ctrl = cluster.controller
     # forge an aggregate for a job that does not exist
-    summary = P.WindowSummary(0, 99, [], job_id=7)
-    ctrl.handle(P.ShardWindowSummary(0, 99, [summary], job_id=7))
-    assert cluster.metrics.count("jobs.orphan_messages") > 0 or True
+    fold = P.WindowFold()
+    fold.add(P.WindowSummary(0, 99, [(1, 1, 0.0, {}, None, 0.0)], job_id=7))
+    before = cluster.metrics.count("jobs.orphan_discards")
+    ctrl.handle(P.ShardWindowSummary(0, 99, fold, job_id=7))
+    assert cluster.metrics.count("jobs.orphan_discards") == before + 1
     # and a shard-level orphan: a summary for a window the shard no
     # longer tracks is counted, not relayed
     shard = cluster.shards[0]
     before = cluster.metrics.count("shard.orphan_summaries")
     shard.handle(P.WindowSummary(0, 12345, [], job_id=0))
     assert cluster.metrics.count("shard.orphan_summaries") == before + 1
+
+
+# ---------------------------------------------------------------------------
+# Division of labour: grant equality and charge conservation
+# ---------------------------------------------------------------------------
+#: the per-task rates the sharded mode moves off the coordinator: grant,
+#: worker-template fill, and the per-row summary fold
+MOVED_RATES = ("self_schedule_grant_per_task",
+               "instantiate_worker_template_auto_per_task",
+               "controller_completion_per_task")
+
+
+def _by_tier(ledger):
+    """rate -> tier -> [seconds, calls], tier "coordinator" or "shards"."""
+    out = {rate: {"coordinator": [0.0, 0], "shards": [0.0, 0]}
+           for rate in MOVED_RATES}
+    for (actor, rate), (seconds, calls) in ledger.items():
+        if rate not in out:
+            continue
+        tier = ("coordinator" if actor == "controller"
+                else "shards" if actor.startswith("shard-") else None)
+        if tier is not None:
+            out[rate][tier][0] += seconds
+            out[rate][tier][1] += calls
+    return out
+
+
+def test_moved_charges_are_conserved_across_three_modes():
+    """Charge conservation (DESIGN.md §16): the grant, fill and per-row
+    fold charges, summed over coordinator and shards, equal the
+    decentralized coordinator's; in sharded mode none of the grant or
+    fill work stays on the coordinator, and every summary row is folded
+    and charged exactly once, on its shard. The centralized run never
+    touches a shard."""
+    charges, rows = {}, {}
+    for mode in ("centralized", "decentralized", "sharded"):
+        with charge_spy() as (costs, ledger):
+            cluster = run_lr(workers=20, iterations=40, mode=mode,
+                             costs=costs)
+        charges[mode] = _by_tier(ledger)
+        wts = cluster.controller.worker_templates[("lr.iteration", 0)]
+        rows[mode] = (cluster.metrics.count("self_schedule_instances")
+                      * len(wts.workers()))
+    assert all(t["shards"] == [0.0, 0]
+               for t in charges["centralized"].values())
+    dec, shd = charges["decentralized"], charges["sharded"]
+    for rate in MOVED_RATES:
+        assert dec[rate]["shards"] == [0.0, 0], rate
+        assert dec[rate]["coordinator"][0] > 0, rate
+        assert math.isclose(
+            shd[rate]["coordinator"][0] + shd[rate]["shards"][0],
+            dec[rate]["coordinator"][0]), (
+            f"{rate}: sharded coordinator {shd[rate]['coordinator'][0]} + "
+            f"shards {shd[rate]['shards'][0]} != decentralized "
+            f"{dec[rate]['coordinator'][0]}")
+    for rate in MOVED_RATES[:2]:
+        assert shd[rate]["coordinator"] == [0.0, 0], rate
+    fold = "controller_completion_per_task"
+    assert rows["sharded"] == rows["decentralized"] > 0
+    assert shd[fold]["shards"][1] == rows["sharded"], (
+        "summary rows not folded exactly once on the shards")
+    assert math.isclose(shd[fold]["shards"][0],
+                        PAPER_COSTS.controller_completion_per_task
+                        * rows["sharded"])
+
+
+def test_sharded_coordinator_steady_window_busy_below_tenth():
+    """Over the steady windows (the busy-time difference between a
+    72- and a 40-iteration run), the sharded coordinator does at most
+    10% of the decentralized coordinator's control work."""
+    def steady_busy(mode):
+        runs = [run_lr(workers=20, iterations=its, mode=mode)
+                for its in (40, 72)]
+        return runs[1].controller.busy_time - runs[0].controller.busy_time
+
+    dec, shd = steady_busy("decentralized"), steady_busy("sharded")
+    assert dec > 0
+    assert shd <= 0.10 * dec, (
+        f"sharded coordinator steady busy {shd:.6f}s vs decentralized "
+        f"{dec:.6f}s")
+
+
+def _grants(mode, **kwargs):
+    with recorded_grants() as opened:
+        cluster = run_lr(iterations=40, mode=mode, **kwargs)
+    return dict(opened), computed_values(cluster)
+
+
+GRANT_SCENARIOS = {
+    "seed0": dict(seed=0),
+    "seed3": dict(seed=3),
+    "seed11": dict(seed=11),
+    "lossy": dict(seed=3, chaos_profile="lossy", chaos_seed=3),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GRANT_SCENARIOS))
+def test_workers_open_identical_grants_decentralized_and_sharded(scenario):
+    """Grant equality: every window each worker opens — window id,
+    version, epoch and every (instance, command-id base, seq, params)
+    tuple — is the same whether the coordinator built it or a shard cut
+    it from the shared instance list and the worker's id offset."""
+    kwargs = GRANT_SCENARIOS[scenario]
+    dec_grants, dec_values = _grants("decentralized", **kwargs)
+    shd_grants, shd_values = _grants("sharded", **kwargs)
+    assert len(dec_grants) == 4 and all(dec_grants.values())
+    assert shd_grants == dec_grants
+    assert shd_values == dec_values
+
+
+def test_epoch_bump_regrants_identical_remainders_in_both_modes():
+    """An epoch bump stalls every worker and the re-granted remainders
+    are identical in both modes. A broadcast EpochUpdate reaches each
+    worker at a mode-dependent point of its grant (shard relays reorder
+    the channels), so the bump is delivered to every worker at one
+    logical point: when its first instance of its first grant finishes.
+    """
+    from repro.nimbus.worker import Worker
+
+    real_advance = Worker._advance_grant
+
+    def run(mode):
+        bumped = set()
+
+        def advance(worker, grant):
+            if grant.next == 1 and worker.worker_id not in bumped:
+                bumped.add(worker.worker_id)
+                epoch = grant.epoch + 1
+                worker._pm_epoch = max(worker._pm_epoch, epoch)
+                ctrl = worker.controller
+                ctrl.pm_epoch = max(ctrl.pm_epoch, epoch)
+            real_advance(worker, grant)
+
+        with mock.patch.object(Worker, "_advance_grant", advance):
+            return _grants(mode)
+
+    dec_grants, dec_values = run("decentralized")
+    shd_grants, shd_values = run("sharded")
+    for worker, opened in dec_grants.items():
+        (window, version, epoch, instances), regrant = opened[:2]
+        assert regrant == (window, version, epoch + 1, instances[1:]), (
+            f"worker {worker}: no re-grant of its remainder")
+    assert shd_grants == dec_grants
+    assert shd_values == dec_values
+
+
+def test_mid_window_crash_opens_identical_grants_in_both_modes():
+    """A worker crash inside a window — as soon as every worker has
+    opened the first grant — aborts it in both modes after exactly the
+    same windows were opened, and leaves no fan-in state on any shard."""
+    from repro.apps import LRApp, LRSpec
+    from repro.nimbus.worker import Worker
+
+    def run(mode):
+        app = LRApp(LRSpec(num_workers=4, iterations=40,
+                           partitions_per_worker=4))
+        with recorded_grants() as opened:
+            cluster = NimbusCluster(4, app.program(blocking=False),
+                                    registry=app.registry, seed=0,
+                                    mode=mode)
+            ctrl = cluster.controller
+            record_open = Worker._on_self_schedule
+            crashed = []
+
+            def crash():
+                cluster.workers[3].fail()
+                ctrl.on_worker_dead(3)
+
+            def on_self_schedule(worker, msg):
+                record_open(worker, msg)
+                first = {grants[0][0] for grants in opened.values()}
+                if (not crashed and len(opened) == 4
+                        and len(first) == 1):
+                    crashed.append(cluster.sim.now)
+                    cluster.sim.schedule_at(cluster.sim.now, crash)
+
+            with mock.patch.object(Worker, "_on_self_schedule",
+                                   on_self_schedule):
+                cluster.driver.start()
+                cluster.sim.run(until=30.0)
+        assert crashed, f"{mode}: never crashed"
+        assert cluster.metrics.count("self_schedule.aborted_windows") == 1
+        assert all(s.outstanding_windows() == 0
+                   for s in cluster.shards.values())
+        return dict(opened)
+
+    dec = run("decentralized")
+    assert run("sharded") == dec
